@@ -1177,39 +1177,48 @@ func (a *Accelerator) runGroups(groups []stripeRun, needBuf bool, fn func(s int,
 	return firstStripeError(errs, failAt)
 }
 
-// execOpStripes executes dst = op(x, y) over the given ascending stripe
-// list (y nil for unary ops) through whichever execution mode is eligible
-// — the compiled kernel fast path on the list's contiguous runs, or the
+// stripeSubset is one shard's share of an operation's stripes (see
+// Shard.placementFor): the ascending stripe list the command-accurate
+// path walks, and its maximal contiguous runs, which the word-level path
+// consumes.
+type stripeSubset struct {
+	list []int
+	runs [][2]int
+}
+
+// execOpStripes executes dst = op(x, y) over the given stripe subset (y
+// nil for unary ops) through whichever execution mode is eligible — the
+// compiled kernel fast path on the subset's contiguous runs, or the
 // command-accurate device model — with no cost accounting: a Shard
 // scatters one logical operation across its accelerators and accounts it
 // once, centrally, so the merged Stats stay bit-identical to the
 // single-module baseline.
-func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, list []int) error {
-	if len(list) == 0 {
+func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, set *stripeSubset) error {
+	if len(set.list) == 0 {
 		return nil
 	}
 	cols := a.cfg.Module.Columns
 	ex, wrapped := a.executor()
 	if k := a.fastKernel(iop, wrapped); k != nil {
 		a.fastHits.Inc()
-		a.fastForEachRuns(stripeRuns(list), func(lo, hi int) {
+		a.fastForEachRuns(set.runs, func(lo, hi int) {
 			fastOpRange(k, dst, x, y, lo, hi, cols)
 		})
 		return nil
 	}
 	a.fastFallbacks.Inc()
-	return a.forEachStripeList(list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	return a.forEachStripeList(set.list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 		return a.opStripe(ex, iop, dst, x, y, s, sub, buf)
 	})
 }
 
 // execReduceStripes executes the staged reduction dst = vs[0] op vs[1] op
-// ... over the given ascending stripe list, with no cost accounting (see
+// ... over the given stripe subset, with no cost accounting (see
 // execOpStripes). Each stripe runs its whole copy-then-fold chain before
 // the next, which is result-identical to the baseline's sweep-per-operand
 // order because every chain step touches only its own stripe.
-func (a *Accelerator) execReduceStripes(iop engine.Op, dst *bitvec.Vector, vs []*bitvec.Vector, list []int) error {
-	if len(list) == 0 {
+func (a *Accelerator) execReduceStripes(iop engine.Op, dst *bitvec.Vector, vs []*bitvec.Vector, set *stripeSubset) error {
+	if len(set.list) == 0 {
 		return nil
 	}
 	cols := a.cfg.Module.Columns
@@ -1218,7 +1227,7 @@ func (a *Accelerator) execReduceStripes(iop engine.Op, dst *bitvec.Vector, vs []
 	kcopy := a.fastKernel(engine.OpCOPY, wrapped)
 	if k != nil && kcopy != nil {
 		a.fastHits.Inc()
-		a.fastForEachRuns(stripeRuns(list), func(lo, hi int) {
+		a.fastForEachRuns(set.runs, func(lo, hi int) {
 			fastOpRange(kcopy, dst, vs[0], nil, lo, hi, cols)
 			for _, v := range vs[1:] {
 				fastFoldRange(k, dst, v, lo, hi, cols)
@@ -1228,7 +1237,7 @@ func (a *Accelerator) execReduceStripes(iop engine.Op, dst *bitvec.Vector, vs []
 	}
 	a.fastFallbacks.Inc()
 	ipe, inPlace := a.eng.(inPlaceExecutor)
-	return a.forEachStripeList(list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	return a.forEachStripeList(set.list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 		if err := a.opStripe(ex, engine.OpCOPY, dst, vs[0], nil, s, sub, buf); err != nil {
 			return err
 		}

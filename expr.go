@@ -3,6 +3,7 @@ package elp2im
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -82,21 +83,40 @@ func (a *Accelerator) Eval(src string, vars map[string]*BitVector) (*BitVector, 
 }
 
 // EvalExpr evaluates a compiled expression over named bulk bit-vectors
-// (see Eval). Execution picks the best available tier per call — fused
-// cluster kernels, node-at-a-time kernels, or the command-accurate
-// device model — with bit-identical results and modeled cost on every
-// tier.
+// (see Eval) into a fresh result vector: EvalExprInto with a
+// destination of the variables' common length.
 func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
-	p := ce.plan
-	n, err := a.evalPrep(p, vars)
+	out := NewBitVector(boundLen(ce.plan, vars))
+	st, err := a.EvalExprInto(ce, out, vars)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	return out, st, nil
+}
+
+// EvalExprInto evaluates a compiled expression over named bulk
+// bit-vectors into dst, following Op's destination convention: dst must
+// have the variables' common length, and its previous contents are
+// overwritten. dst must not be one of the bound vectors (fused kernels
+// re-read their sources while writing). Execution picks the best
+// available tier per call — fused cluster kernels, node-at-a-time
+// kernels, or the command-accurate device model — with bit-identical
+// results and modeled cost on every tier. Reusing dst across calls keeps
+// a warm plan's word-level evaluation free of per-call vector
+// allocation.
+func (a *Accelerator) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[string]*BitVector) (Stats, error) {
+	p := ce.plan
+	n, err := a.evalPrep(p, vars)
+	if err != nil {
+		return Stats{}, err
+	}
+	if err := checkEvalDst(p, dst, vars, n); err != nil {
+		return Stats{}, err
+	}
 	cols := a.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	out := NewBitVector(n)
-	if err := a.evalExec(p, vars, out, stripes, nil); err != nil {
-		return nil, Stats{}, err
+	if err := a.evalExec(p, vars, dst, stripes, nil); err != nil {
+		return Stats{}, err
 	}
 
 	// Cost: per-stripe program cost, bank parallelism applied per op mix.
@@ -104,10 +124,39 @@ func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*B
 	// execution tier, so fused and unfused runs account identically.
 	total, err := a.evalCost(p.Prog, stripes)
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	a.addTotals(total)
-	return out, total, nil
+	return total, nil
+}
+
+// boundLen returns the length of the first bound plan variable, or 0 when
+// none is bound (evalPrep then reports the missing binding).
+func boundLen(p *plan.Plan, vars map[string]*BitVector) int {
+	for _, name := range p.Vars {
+		if v := vars[name]; v != nil {
+			return v.Len()
+		}
+	}
+	return 0
+}
+
+// checkEvalDst validates an eval destination against the prepared
+// bindings of common length n: non-nil, length n, and not aliasing a
+// bound variable.
+func checkEvalDst(p *plan.Plan, dst *BitVector, vars map[string]*BitVector, n int) error {
+	if dst == nil {
+		return errors.New("elp2im: nil vector")
+	}
+	if dst.Len() != n {
+		return errors.New("elp2im: destination length mismatch")
+	}
+	for _, name := range p.Vars {
+		if vars[name].v == dst.v {
+			return fmt.Errorf("elp2im: destination aliases expression variable %q", name)
+		}
+	}
+	return nil
 }
 
 // evalPrep validates that every plan variable is bound to a vector of one
@@ -201,10 +250,12 @@ func (a *Accelerator) evalCost(prog *expr.Program, stripes int) (Stats, error) {
 // descending preference:
 //
 //  1. fusion tier (fused != nil): one derived k-input kernel per plan
-//     cluster, applied per stripe directly on the vectors' words with
-//     slot slabs for intermediates;
+//     cluster, resolved once per (plan, accelerator) and memoized on the
+//     plan, applied chunk by chunk directly on the vectors' words with a
+//     pooled slab for intermediate slots;
 //  2. node-kernel tier (kerns != nil): one derived kernel per program
-//     instruction, with temp-slot slabs — the pre-fusion fast path;
+//     instruction, with pooled temp-slot slabs — the pre-fusion fast
+//     path;
 //  3. command-accurate tier: the node-at-a-time program executed through
 //     the device model's real command sequences.
 //
@@ -220,32 +271,22 @@ type evalRunner struct {
 	ex    Executor
 	fused []*kernel.Fused  // fusion tier, one per cluster
 	kerns []*kernel.Kernel // node-kernel tier, one per instruction
-	slabs *sync.Pool       // node-kernel tier's per-stripe temp slabs
 }
 
 // evalResolve picks the operation's execution tier and resolves its
 // kernels, counting one fusion and one fastpath hit/fallback per
 // operation (mirroring opTasks' submission-time resolution contract:
-// SetExecutor takes effect for operations started after the call).
+// SetExecutor takes effect for operations started after the call). The
+// fused kernels come from the plan's per-accelerator memo, consulted only
+// once the executor, fast-path and fusion checks allow the tier.
 func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out *BitVector) *evalRunner {
 	cols := a.cfg.Module.Columns
 	ex, wrapped := a.executor()
 	r := &evalRunner{a: a, p: p, vars: vars, out: out, ex: ex}
 	wordOK := !wrapped && !a.cfg.DisableFastpath && cols%64 == 0
-	wpr := cols / 64
 
 	if wordOK && !a.cfg.DisableFusion {
-		fused := make([]*kernel.Fused, len(p.Clusters))
-		ok := true
-		for i := range p.Clusters {
-			fk, err := a.fused.Fused(p.Clusters[i].Spec)
-			if err != nil {
-				ok = false
-				break
-			}
-			fused[i] = fk
-		}
-		if ok {
+		if fused, err := p.Kernels(a.fused); err == nil {
 			a.fusionHits.Inc()
 			r.fused = fused
 			return r
@@ -266,7 +307,6 @@ func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out 
 		if ok {
 			a.fastHits.Inc()
 			r.kerns = kerns
-			r.slabs = slabPool(prog.TempSlots * wpr)
 			return r
 		}
 	}
@@ -279,12 +319,36 @@ func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out 
 // still amortizing per-Apply setup over a thousand words.
 const fusedChunkWords = 1024
 
-// slabPool returns a pool of word slabs of the given size.
-func slabPool(words int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		s := make([]uint64, words)
-		return &s
-	}}
+// slabPools holds the word-level tiers' scratch slabs — fused chunk slots
+// and node-kernel temp slots — shared by every accelerator and keyed by
+// size: pool c holds slabs of capacity 2^c words. Slabs are handed out
+// unzeroed; both tiers write every slot before reading it.
+var slabPools [64]sync.Pool
+
+// getSlab leases a slab of words (> 0) words from its size class.
+func getSlab(words int) *[]uint64 {
+	c := bits.Len(uint(words - 1))
+	if s, ok := slabPools[c].Get().(*[]uint64); ok {
+		*s = (*s)[:words]
+		return s
+	}
+	s := make([]uint64, words, 1<<c)
+	return &s
+}
+
+// putSlab returns a slab leased by getSlab.
+func putSlab(s *[]uint64) {
+	slabPools[bits.Len(uint(cap(*s)-1))].Put(s)
+}
+
+// bindWords resolves the named variables' word slices once per body, so
+// the chunk and stripe loops index a slice instead of the binding map.
+func (r *evalRunner) bindWords(names []string) [][]uint64 {
+	words := make([][]uint64, len(names))
+	for i, name := range names {
+		words[i] = r.vars[name].v.Words()
+	}
+	return words
 }
 
 // wordBody returns the word-level per-stripe-range body of the resolved
@@ -296,8 +360,8 @@ func (r *evalRunner) wordBody() func(sLo, sHi int) {
 	ow := r.out.v.Words()
 
 	if r.fused != nil {
-		res := p.Result()
-		last := len(p.Clusters) - 1
+		vw := r.bindWords(p.Vars)
+		slabWords := p.Slots * fusedChunkWords
 		return func(sLo, sHi int) {
 			// Variables are word-contiguous across stripes, so the range
 			// runs as a flat word span, chunked so that every
@@ -315,34 +379,37 @@ func (r *evalRunner) wordBody() func(sLo, sHi int) {
 			if hi > len(ow) {
 				hi = len(ow)
 			}
-			slab := make([]uint64, p.Slots*fusedChunkWords)
+			// Only multi-cluster plans hold intermediates: the final
+			// cluster writes the output words directly.
+			var slab []uint64
+			if slabWords > 0 {
+				s := getSlab(slabWords)
+				defer putSlab(s)
+				slab = *s
+			}
 			var srcs [kernel.MaxFusedInputs][]uint64
 			for base := lo; base < hi; base += fusedChunkWords {
 				cm := hi - base
 				if cm > fusedChunkWords {
 					cm = fusedChunkWords
 				}
-				wordsOf := func(ref plan.Ref) []uint64 {
-					if ref.Var {
-						return r.vars[p.Vars[ref.Index]].v.Words()[base : base+cm]
-					}
-					return slab[ref.Index*fusedChunkWords : ref.Index*fusedChunkWords+cm]
-				}
 				for ci := range p.Clusters {
 					c := &p.Clusters[ci]
 					for j, in := range c.Inputs {
-						srcs[j] = wordsOf(in)
+						if in.Var {
+							srcs[j] = vw[in.Index][base : base+cm]
+						} else {
+							srcs[j] = slab[in.Index*fusedChunkWords : in.Index*fusedChunkWords+cm]
+						}
 					}
-					// The final cluster lands directly in the output words;
-					// earlier clusters fill their liveness-allocated slot.
 					dst := ow[base : base+cm]
-					if ci != last {
-						dst = wordsOf(plan.Ref{Index: c.Out})
+					if c.Out >= 0 {
+						dst = slab[c.Out*fusedChunkWords : c.Out*fusedChunkWords+cm]
 					}
 					r.fused[ci].Apply(dst, srcs[:len(c.Inputs)])
 				}
 				if len(p.Clusters) == 0 {
-					copy(ow[base:base+cm], wordsOf(res))
+					copy(ow[base:base+cm], vw[0][base:base+cm])
 				}
 			}
 			if hi == len(ow) {
@@ -354,9 +421,15 @@ func (r *evalRunner) wordBody() func(sLo, sHi int) {
 	if r.kerns != nil {
 		prog := p.Prog
 		res := prog.Result()
+		vw := r.bindWords(prog.Vars)
+		slabWords := prog.TempSlots * wpr
 		return func(sLo, sHi int) {
-			slab := r.slabs.Get().(*[]uint64)
-			defer r.slabs.Put(slab)
+			var slab []uint64
+			if slabWords > 0 {
+				s := getSlab(slabWords)
+				defer putSlab(s)
+				slab = *s
+			}
 			for s := sLo; s < sHi; s++ {
 				lo := s * wpr
 				if lo >= len(ow) {
@@ -368,9 +441,9 @@ func (r *evalRunner) wordBody() func(sLo, sHi int) {
 				}
 				wordsOf := func(ref expr.Ref) []uint64 {
 					if ref.Temp {
-						return (*slab)[ref.Index*wpr : ref.Index*wpr+(hi-lo)]
+						return slab[ref.Index*wpr : ref.Index*wpr+(hi-lo)]
 					}
-					return r.vars[prog.Vars[ref.Index]].v.Words()[lo:hi]
+					return vw[ref.Index][lo:hi]
 				}
 				for i, in := range prog.Instrs {
 					var bw []uint64
@@ -414,29 +487,29 @@ func (r *evalRunner) cmdBody() func(s int, sub *dram.Subarray, buf *bitvec.Vecto
 	}
 }
 
-// exec runs the resolved tier over the stripes in list (nil means all of
+// exec runs the resolved tier over the stripes in sub (nil means all of
 // [0, stripes)).
-func (r *evalRunner) exec(stripes int, list []int) error {
+func (r *evalRunner) exec(stripes int, sub *stripeSubset) error {
 	if body := r.wordBody(); body != nil {
-		runs := [][2]int{{0, stripes}}
-		if list != nil {
-			runs = stripeRuns(list)
+		if sub != nil {
+			r.a.fastForEachRuns(sub.runs, body)
+		} else {
+			r.a.fastForEachRange(stripes, body)
 		}
-		r.a.fastForEachRuns(runs, body)
 		return nil
 	}
 	body := r.cmdBody()
-	if list != nil {
-		return r.a.forEachStripeList(list, body)
+	if sub != nil {
+		return r.a.forEachStripeList(sub.list, body)
 	}
 	return r.a.forEachStripe(stripes, body)
 }
 
-// evalExec executes the compiled plan over the stripes in list (nil
-// means all of [0, stripes)) with no cost accounting — the execution
-// half of EvalExpr, which a Shard scatters across its accelerators.
-func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *BitVector, stripes int, list []int) error {
-	return a.evalResolve(p, vars, out).exec(stripes, list)
+// evalExec executes the compiled plan over the stripes in sub (nil means
+// all of [0, stripes)) with no cost accounting — the execution half of
+// EvalExprInto, which a Shard scatters across its accelerators.
+func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *BitVector, stripes int, sub *stripeSubset) error {
+	return a.evalResolve(p, vars, out).exec(stripes, sub)
 }
 
 // evalTasks builds the per-serialization-group pipeline tasks executing

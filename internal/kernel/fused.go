@@ -68,8 +68,10 @@ func (sp *FusedSpec) validate() error {
 	return nil
 }
 
-// key returns the spec's canonical cache key.
-func (sp *FusedSpec) key() string {
+// Key returns the spec's canonical FusedSet cache key: the register shape
+// and the full command sequence. Callers resolving one spec repeatedly
+// compute it once (the plan compiler stores it on each cluster).
+func (sp *FusedSpec) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k%d r%d res%d", sp.K, sp.Regs, sp.Result)
 	for _, op := range sp.Ops {
@@ -223,10 +225,12 @@ func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 // pack tiles the kernel's gate-level program into multi-gate passes
 // from the generated library (fusedgen.go), so each pass streams its
 // operands once and keeps intermediate gate values in machine
-// registers. Apply's runtime scales with the pass count: on a
-// memory-port-bound word loop a three-gate pass costs the same as a
-// one-gate pass, so packing is where fusion's speedup over
-// node-at-a-time kernels actually comes from.
+// registers. Packing trims the per-block pass count, but it is not
+// where fusion's speedup over node-at-a-time kernels comes from: that is
+// block-wise evaluation, which keeps a cluster chain's intermediates
+// cache-resident so only variable reads and the result touch main memory
+// (see the facade's fused word body). Restricting packing to single-gate
+// passes leaves fused eval within run-to-run noise at DAG depths 1–5.
 //
 // The pass rebuilds SSA form from the register program, counts uses
 // over the values reachable from the result, and munches bottom-up: a
@@ -950,10 +954,9 @@ func NewFusedSet(exec Executor, module dram.Config) *FusedSet {
 }
 
 // Fused returns the spec's compiled kernel, deriving it on first use.
-// The error (nil or not) is stable across calls while the entry stays
-// cached.
-func (s *FusedSet) Fused(spec FusedSpec) (*Fused, error) {
-	key := spec.key()
+// key must be spec.Key(). The error (nil or not) is stable across calls
+// while the entry stays cached.
+func (s *FusedSet) Fused(key string, spec FusedSpec) (*Fused, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {

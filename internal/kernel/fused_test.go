@@ -93,7 +93,7 @@ func TestDeriveFusedMatchesSoftware(t *testing.T) {
 				wantTab := softSpec(spec, varPat64[:k]) & tableMask(k)
 				if f.Table() != wantTab {
 					t.Fatalf("%s k=%d: table %#x, want %#x (spec %s)",
-						name, k, f.Table(), wantTab, spec.key())
+						name, k, f.Table(), wantTab, spec.Key())
 				}
 				// Apply on random multi-word operands, including a ragged
 				// non-multiple-of-block length.
@@ -205,7 +205,7 @@ func TestDeriveFusedRejectsBadSpecs(t *testing.T) {
 	}
 	for i, spec := range bad {
 		if _, err := DeriveFused(exec, spec, mod); err == nil {
-			t.Fatalf("spec %d (%s): expected error", i, spec.key())
+			t.Fatalf("spec %d (%s): expected error", i, spec.Key())
 		}
 	}
 	if _, err := DeriveFused(nil, FusedSpec{K: 1, Regs: 1}, mod); err == nil {
@@ -241,11 +241,11 @@ func TestFusedSetCaches(t *testing.T) {
 		{Op: engine.OpAND, Dst: 3, A: 0, B: 1},
 		{Op: engine.OpOR, Dst: 4, A: 3, B: 2},
 	}}
-	f1, err := set.Fused(spec)
+	f1, err := set.Fused(spec.Key(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := set.Fused(spec)
+	f2, err := set.Fused(spec.Key(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +253,8 @@ func TestFusedSetCaches(t *testing.T) {
 		t.Fatal("second lookup did not hit the cache")
 	}
 	bad := FusedSpec{K: 2, Regs: 1, Result: 0}
-	_, err1 := set.Fused(bad)
-	_, err2 := set.Fused(bad)
+	_, err1 := set.Fused(bad.Key(), bad)
+	_, err2 := set.Fused(bad.Key(), bad)
 	if err1 == nil || err2 == nil || err1.Error() != err2.Error() {
 		t.Fatalf("error not cached stably: %v vs %v", err1, err2)
 	}
@@ -343,10 +343,10 @@ func TestFusedPacking(t *testing.T) {
 		spec := randomSpec(rng, 1+rng.Intn(MaxFusedInputs))
 		f, err := DeriveFused(exec, spec, mod)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.key(), err)
+			t.Fatalf("%s: %v", spec.Key(), err)
 		}
 		if f.Passes() > f.Ops() {
-			t.Fatalf("spec %s: passes=%d > ops=%d", spec.key(), f.Passes(), f.Ops())
+			t.Fatalf("spec %s: passes=%d > ops=%d", spec.Key(), f.Passes(), f.Ops())
 		}
 	}
 }

@@ -22,6 +22,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/expr"
@@ -52,9 +53,14 @@ type Cluster struct {
 	// Spec is the cluster's register program for kernel.DeriveFused;
 	// Spec.K == len(Inputs) and input j binds register j.
 	Spec kernel.FusedSpec
+	// Key is Spec's kernel-cache key (kernel.FusedSpec.Key), computed
+	// once at compile time so resolving the kernel never re-renders it.
+	Key string
 	// Inputs are the cluster operands in register order.
 	Inputs []Ref
-	// Out is the output slot holding the cluster's value.
+	// Out is the output slot holding the cluster's value, or -1 for the
+	// final cluster, whose value goes straight to the caller's
+	// destination and so takes no slot.
 	Out int
 	// Table is the software-expected truth table (bit i = cluster value
 	// where input j = (i>>j)&1). Diagnostic metadata only: the executing
@@ -70,35 +76,98 @@ func (c *Cluster) String() string {
 	for i, r := range c.Inputs {
 		refs[i] = r.String()
 	}
-	return fmt.Sprintf("s%d = fuse[%d gates, table %#x](%s)",
-		c.Out, c.Nodes, c.Table, strings.Join(refs, ", "))
+	out := "out"
+	if c.Out >= 0 {
+		out = fmt.Sprintf("s%d", c.Out)
+	}
+	return fmt.Sprintf("%s = fuse[%d gates, table %#x](%s)",
+		out, c.Nodes, c.Table, strings.Join(refs, ", "))
 }
 
 // Plan is a compiled expression: fused clusters in dependency order plus
 // the node-at-a-time program over the same DAG. The final cluster
-// computes the expression's value; a plan with no clusters is a bare
-// variable reference.
+// computes the expression's value into the caller's destination; a plan
+// with no clusters is a bare reference to variable 0. A Plan is
+// immutable once compiled apart from its kernel memo (see Kernels), and
+// safe for concurrent use.
 type Plan struct {
 	// Vars are the input variable names, in first-appearance order.
 	Vars []string
 	// Clusters is the fused schedule in execution order.
 	Clusters []Cluster
-	// Slots is the number of intermediate slots the schedule needs.
+	// Slots is the number of intermediate slots the schedule needs: the
+	// outputs of every cluster but the final one, which writes the
+	// destination directly. A single-cluster plan needs none.
 	Slots int
 	// Prog is the node-at-a-time schedule of the same DAG: the cost
 	// source for every tier and the command-accurate fallback.
 	Prog *expr.Program
 	// Source is the original expression.
 	Source string
+
+	// kernels memoizes Kernels per fused-kernel set: an immutable,
+	// copy-on-write list, so the steady-state lookup is one atomic load.
+	kernels atomic.Pointer[[]kernelMemo]
 }
 
-// Result returns the reference holding the expression's value: the last
-// cluster's output slot, or variable 0 for a bare-variable plan.
-func (p *Plan) Result() Ref {
-	if len(p.Clusters) == 0 {
-		return Ref{Var: true}
+// kernelMemo is one fused-kernel set's resolution of a plan's clusters.
+type kernelMemo struct {
+	set   *kernel.FusedSet
+	fused []*kernel.Fused
+	err   error
+}
+
+// kernelMemoCap bounds a plan's kernel memo. Each accelerator owns one
+// FusedSet, so a plan evaluated on a 4-shard router holds four entries;
+// beyond the cap the oldest entry is dropped (and re-resolved on its next
+// use).
+const kernelMemoCap = 8
+
+// Kernels returns the plan's fused kernels resolved through set, one per
+// cluster in execution order (empty for a bare-variable plan). The first
+// call for a set looks every cluster up by its precomputed Key; later
+// calls return the memoized slice without locking or allocating, so a
+// plan resolves its kernels once per accelerator rather than once per
+// evaluation. A derivation failure is memoized like a success (derivation
+// is deterministic): the error is the first failing cluster's. Callers
+// must not modify the returned slice.
+func (p *Plan) Kernels(set *kernel.FusedSet) ([]*kernel.Fused, error) {
+	if m := p.kernels.Load(); m != nil {
+		for i := range *m {
+			if e := &(*m)[i]; e.set == set {
+				return e.fused, e.err
+			}
+		}
 	}
-	return Ref{Index: p.Clusters[len(p.Clusters)-1].Out}
+	fused := make([]*kernel.Fused, len(p.Clusters))
+	var err error
+	for i := range p.Clusters {
+		c := &p.Clusters[i]
+		if fused[i], err = set.Fused(c.Key, c.Spec); err != nil {
+			fused = nil
+			break
+		}
+	}
+	for {
+		old := p.kernels.Load()
+		var next []kernelMemo
+		if old != nil {
+			for _, e := range *old {
+				if e.set == set {
+					return e.fused, e.err // a concurrent caller won
+				}
+			}
+			keep := *old
+			if len(keep) >= kernelMemoCap {
+				keep = keep[len(keep)-kernelMemoCap+1:]
+			}
+			next = append(next, keep...)
+		}
+		next = append(next, kernelMemo{set: set, fused: fused, err: err})
+		if p.kernels.CompareAndSwap(old, &next) {
+			return fused, err
+		}
+	}
 }
 
 // String renders the fused schedule.
@@ -119,7 +188,7 @@ func (p *Plan) String() string {
 // inside a cluster — the truth table absorbs it). The DAG root is always
 // materialized. Output slots are allocated by liveness, and a cluster's
 // output slot never aliases one of its inputs (fused kernels re-read
-// their sources throughout the pass).
+// their sources throughout the pass); the root cluster takes no slot.
 func Compile(d *expr.DAG) (*Plan, error) {
 	if d == nil || d.Root == nil {
 		return nil, fmt.Errorf("plan: nil DAG")
@@ -197,7 +266,8 @@ func Compile(d *expr.DAG) (*Plan, error) {
 
 	// Phase 3: liveness slot allocation for cluster outputs. Mirroring the
 	// scratch-row allocator, a cluster's slot is taken while its inputs
-	// are still held, so an output never aliases an input.
+	// are still held, so an output never aliases an input. The root
+	// cluster writes the caller's destination and takes no slot.
 	uses := map[int]int{}
 	for i := range p.Clusters {
 		for _, in := range p.Clusters[i].Inputs {
@@ -206,7 +276,7 @@ func Compile(d *expr.DAG) (*Plan, error) {
 			}
 		}
 	}
-	uses[len(p.Clusters)-1]++ // the result is read by the caller
+	last := len(p.Clusters) - 1
 	var free []bool
 	alloc := func() int {
 		for i := range free {
@@ -221,7 +291,10 @@ func Compile(d *expr.DAG) (*Plan, error) {
 	slot := make([]int, len(p.Clusters))
 	for i := range p.Clusters {
 		c := &p.Clusters[i]
-		slot[i] = alloc()
+		slot[i] = -1
+		if i != last {
+			slot[i] = alloc()
+		}
 		for j, in := range c.Inputs {
 			if in.Var {
 				continue
@@ -233,6 +306,7 @@ func Compile(d *expr.DAG) (*Plan, error) {
 			}
 		}
 		c.Out = slot[i]
+		c.Key = c.Spec.Key()
 	}
 	p.Slots = len(free)
 	return p, nil

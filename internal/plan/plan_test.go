@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dram"
@@ -42,8 +43,15 @@ func checkInvariants(t *testing.T, p *Plan) {
 		if len(c.Spec.Ops) == 0 {
 			t.Fatalf("cluster %d: empty spec", i)
 		}
-		if c.Out < 0 || c.Out >= p.Slots {
+		if i == len(p.Clusters)-1 {
+			if c.Out != -1 {
+				t.Fatalf("final cluster %d: out slot %d, want -1 (no slot)", i, c.Out)
+			}
+		} else if c.Out < 0 || c.Out >= p.Slots {
 			t.Fatalf("cluster %d: out slot %d with %d slots", i, c.Out, p.Slots)
+		}
+		if c.Key != c.Spec.Key() {
+			t.Fatalf("cluster %d: key %q, spec key %q", i, c.Key, c.Spec.Key())
 		}
 		for j, in := range c.Inputs {
 			if in.Var {
@@ -76,6 +84,7 @@ func evalPlan(p *Plan, env map[string]bool) bool {
 		return env[p.Vars[0]]
 	}
 	slots := make([]bool, p.Slots)
+	var out bool
 	for _, c := range p.Clusters {
 		idx := 0
 		for j, in := range c.Inputs {
@@ -89,9 +98,12 @@ func evalPlan(p *Plan, env map[string]bool) bool {
 				idx |= 1 << j
 			}
 		}
-		slots[c.Out] = c.Table>>uint(idx)&1 == 1
+		out = c.Table>>uint(idx)&1 == 1
+		if c.Out >= 0 {
+			slots[c.Out] = out
+		}
 	}
-	return slots[p.Result().Index]
+	return out
 }
 
 // planExprs is the expression corpus shared by the equivalence tests:
@@ -177,10 +189,14 @@ func TestPlanClustering(t *testing.T) {
 		t.Fatalf("cluster 1 should read variable g: %s", p)
 	}
 
-	// A single-cluster expression stays fused whole.
+	// A single-cluster expression stays fused whole, and its one cluster
+	// writes the destination, so it needs no intermediate slot.
 	one := compilePlan(t, "(a & b) | (c ^ ~d) | (e & f)")
 	if len(one.Clusters) != 1 {
 		t.Fatalf("expected 1 cluster, got %d\n%s", len(one.Clusters), one)
+	}
+	if one.Slots != 0 {
+		t.Fatalf("single-cluster plan needs %d slots, want 0\n%s", one.Slots, one)
 	}
 }
 
@@ -236,8 +252,8 @@ func TestPlanLeaf(t *testing.T) {
 	if len(p.Clusters) != 0 || p.Slots != 0 {
 		t.Fatalf("leaf plan has clusters: %s", p)
 	}
-	if r := p.Result(); !r.Var || r.Index != 0 {
-		t.Fatalf("leaf result %v", r)
+	if len(p.Vars) != 1 || p.Vars[0] != "a" {
+		t.Fatalf("leaf vars %v", p.Vars)
 	}
 	if len(p.Prog.Instrs) != 0 {
 		t.Fatal("leaf program has instructions")
@@ -305,7 +321,7 @@ func TestPlanTablesMatchDevice(t *testing.T) {
 	for _, src := range planExprs {
 		p := compilePlan(t, src)
 		for i := range p.Clusters {
-			f, err := set.Fused(p.Clusters[i].Spec)
+			f, err := set.Fused(p.Clusters[i].Key, p.Clusters[i].Spec)
 			if err != nil {
 				t.Fatalf("%q cluster %d: %v", src, i, err)
 			}
@@ -331,5 +347,72 @@ func TestPlanDeterminism(t *testing.T) {
 				t.Fatalf("%q cluster %d: specs differ", src, i)
 			}
 		}
+	}
+}
+
+// TestPlanKernelsMemo pins the per-set kernel memo: a second resolution
+// through one set returns the identical slice, another set resolves its
+// own kernels, concurrent first resolutions agree, and the memo stays
+// bounded once more sets than its cap have resolved the plan.
+func TestPlanKernelsMemo(t *testing.T) {
+	newSet := func() *kernel.FusedSet {
+		return kernel.NewFusedSet(elpim.MustNew(elpim.DefaultConfig()), dram.Default())
+	}
+	p := compilePlan(t, "((a|b) & (c|d) & (e|f)) ^ g")
+	set := newSet()
+	const workers = 8
+	got := make([][]*kernel.Fused, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			f, err := p.Kernels(set)
+			if err != nil {
+				t.Error(err)
+			}
+			got[w] = f
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for w := range got {
+		if len(got[w]) != len(p.Clusters) {
+			t.Fatalf("worker %d: %d kernels for %d clusters", w, len(got[w]), len(p.Clusters))
+		}
+		if &got[w][0] != &got[0][0] {
+			t.Fatalf("worker %d resolved a different kernel slice", w)
+		}
+		for i, f := range got[w] {
+			if f.Table() != p.Clusters[i].Table {
+				t.Fatalf("cluster %d: kernel table %#x, plan table %#x", i, f.Table(), p.Clusters[i].Table)
+			}
+		}
+	}
+	other, err := p.Kernels(newSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &other[0] == &got[0][0] || other[0] == got[0][0] {
+		t.Fatal("a second set shared the first set's kernels")
+	}
+	for i := 0; i < 2*kernelMemoCap; i++ {
+		if _, err := p.Kernels(newSet()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(*p.kernels.Load()); n != kernelMemoCap {
+		t.Fatalf("memo holds %d entries, want the cap %d", n, kernelMemoCap)
+	}
+	again, err := p.Kernels(set)
+	if err != nil || len(again) != len(p.Clusters) {
+		t.Fatalf("re-resolution after eviction: %d kernels, err %v", len(again), err)
+	}
+
+	leaf := compilePlan(t, "a")
+	if f, err := leaf.Kernels(set); err != nil || f == nil || len(f) != 0 {
+		t.Fatalf("bare-variable plan: kernels %v, err %v; want empty non-nil", f, err)
 	}
 }

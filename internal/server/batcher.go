@@ -643,6 +643,11 @@ func (b *Batcher) flush(reqs []*pimRequest) {
 		return
 	}
 
+	// Count the flush before any response goes out, so a caller that has
+	// its answer never observes counters that lag it.
+	b.obs.flushes.Inc()
+	b.obs.coalesced.Add(int64(len(s.submitted)))
+	b.obs.occupancy.Observe(float64(len(s.submitted)))
 	for i, r := range s.submitted {
 		st, err := s.futures[i].Wait()
 		if err == nil && s.subBound[i].newDst != nil {
@@ -650,8 +655,5 @@ func (b *Batcher) flush(reqs []*pimRequest) {
 		}
 		r.resolve(st, err)
 	}
-	b.obs.flushes.Inc()
-	b.obs.coalesced.Add(int64(len(s.submitted)))
-	b.obs.occupancy.Observe(float64(len(s.submitted)))
 	b.obs.flushSpan(start, id, len(s.submitted), firstErr)
 }

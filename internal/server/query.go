@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
+	"sync"
 
 	elp2im "repro"
 	"repro/internal/wire"
@@ -18,7 +19,8 @@ import (
 // CSE and the fused kernel tier exactly like /v1/eval. Unlike eval, a
 // query stores nothing: the match vector is private to the request and is
 // rendered as a count, the whole bitvector, or a cursor/limit page of
-// set-bit positions.
+// set-bit positions. Match vectors are pooled by universe length: each
+// handler returns its vector once the response has copied what it needs.
 
 // Query sentinels. All four are request faults, so each wraps
 // errBadRequest — statusFor and wireStatusFor classify them as 400 /
@@ -82,14 +84,67 @@ func pageLimit(limit int) int {
 // so the prefix "<namespace>/" delimits a namespace unambiguously.
 func indexKey(namespace, index string) string { return namespace + "/" + index }
 
+// maxMatchLengths caps the number of universe lengths matchPool keeps a
+// pool for. Lengths come from client-stored namespaces, so the table must
+// not grow without bound; queries over further lengths allocate their
+// match vector per request.
+const maxMatchLengths = 64
+
+// matchPool recycles query match vectors, one sync.Pool per universe
+// length. A pooled vector's old contents never leak: every eval tier
+// overwrites all of its destination's words.
+type matchPool struct {
+	mu    sync.RWMutex
+	pools map[int]*sync.Pool
+}
+
+// get leases a match vector of n bits.
+func (m *matchPool) get(n int) *elp2im.BitVector {
+	if p := m.pool(n); p != nil {
+		if v, ok := p.Get().(*elp2im.BitVector); ok {
+			return v
+		}
+	}
+	return elp2im.NewBitVector(n)
+}
+
+// put returns a vector leased by get. The caller must hold no reference
+// to it or its words afterwards.
+func (m *matchPool) put(v *elp2im.BitVector) {
+	if p := m.pool(v.Len()); p != nil {
+		p.Put(v)
+	}
+}
+
+// pool returns the pool for length n, creating it while the table is
+// below maxMatchLengths; nil means vectors of this length go unpooled.
+func (m *matchPool) pool(n int) *sync.Pool {
+	m.mu.RLock()
+	p, full := m.pools[n], len(m.pools) >= maxMatchLengths
+	m.mu.RUnlock()
+	if p != nil || full {
+		return p
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p = m.pools[n]; p == nil && len(m.pools) < maxMatchLengths {
+		if m.pools == nil {
+			m.pools = make(map[int]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		m.pools[n] = p
+	}
+	return p
+}
+
 // queryCore is the protocol-independent query body shared by the HTTP
 // and wire paths, mirroring evalCore's shape: compile the predicate
 // through the shared plan cache, pre-check the row budget, gate on the
 // namespace's home-shard drain state, read-lock the index entries, and
-// evaluate the compiled plan — scatter-gather across every shard on a
-// sharded server, on the single accelerator otherwise. The match vector
-// is private to the call (nothing is stored), so the caller renders it
-// lock-free.
+// evaluate the compiled plan into a pooled match vector — scatter-gather
+// across every shard on a sharded server, on the single accelerator
+// otherwise. Nothing is stored, so the caller renders the match
+// lock-free and then hands it back with s.matches.put.
 func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2im.Stats, error) {
 	if namespace == "" || predicate == "" {
 		return nil, elp2im.Stats{}, badRequestf("server: query needs namespace and predicate")
@@ -147,15 +202,16 @@ func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2
 				namespace, name, e.vec.Len(), universe)
 		}
 	}
-	var out *elp2im.BitVector
+	out := s.matches.get(universe)
 	var st elp2im.Stats
 	if s.shard != nil {
-		out, st, err = s.shard.EvalExpr(ce, vars)
+		st, err = s.shard.EvalExprInto(ce, out, vars)
 	} else {
-		out, st, err = s.acc.EvalExpr(ce, vars)
+		st, err = s.acc.EvalExprInto(ce, out, vars)
 	}
 	unlock()
 	if err != nil {
+		s.matches.put(out)
 		return nil, elp2im.Stats{}, err
 	}
 	return out, st, nil
@@ -212,6 +268,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	// Every response field copies out of the match (base64, positions),
+	// so the vector goes back to the pool before the body is written.
+	defer s.matches.put(match)
 	resp := QueryResponse{
 		Stats: statsJSON(st),
 		Bits:  match.Len(),
@@ -240,6 +299,8 @@ func (wb *wireBackend) handleQuery(req *wire.Request, resp *wire.Response) error
 	if err != nil {
 		return err
 	}
+	// AppendWords copies into the response frame.
+	defer wb.s.matches.put(match)
 	resp.AppendStats(wireStats(st))
 	resp.AppendU32(uint32(match.Len()))
 	resp.AppendU64(uint64(match.Popcount()))

@@ -121,6 +121,7 @@ type Server struct {
 	batchers []*Batcher
 	obs      *serverMetrics
 	cache    *evalCache
+	matches  matchPool // pooled /v1/query match vectors
 	mux      *http.ServeMux
 
 	// Wire-listener connection tracking (see wire.go): live connections

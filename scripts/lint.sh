@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Static hygiene gate, part of the tier-1 verify (see ROADMAP.md):
 #   1. gofmt       — no unformatted files anywhere in the repo
-#   2. go vet      — whole-module analysis
+#   2. go vet      — whole-module analysis, plus go vet and the self-tests
+#                    of perfbench, the benchmark harness, which is its own
+#                    module and so outside ./...
 #   3. doccheck    — godoc completeness for the packages whose documentation
 #                    the project guarantees (root facade, internal/pipeline,
 #                    internal/obs, internal/server, internal/wire,
@@ -40,6 +42,13 @@ if [ -n "$unformatted" ]; then
 fi
 
 if ! go vet ./...; then
+    fail=1
+fi
+
+# perfbench builds against the facade through `replace repro => ../`, so a
+# facade signature change that breaks the benchmark would otherwise surface
+# only at benchmark time.
+if ! (cd perfbench && go vet . && go test -count=1 .); then
     fail=1
 fi
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -57,6 +58,9 @@ type Shard struct {
 
 	totalsMu sync.Mutex
 	totals   Stats
+
+	// placements memoizes placementFor, direct-mapped by stripe count.
+	placements [8]atomic.Pointer[placement]
 }
 
 // shardSeries is one shard's scatter-side metric series.
@@ -144,54 +148,72 @@ func (sh *Shard) shardOf(s int) int {
 	return int(mix64(uint64(s/shardChunkStripes)) % uint64(len(sh.accs)))
 }
 
-// stripeLists partitions stripes [0, n) into per-shard ascending lists.
-func (sh *Shard) stripeLists(n int) [][]int {
-	lists := make([][]int, len(sh.accs))
-	for s := 0; s < n; s++ {
-		i := sh.shardOf(s)
-		lists[i] = append(lists[i], s)
-	}
-	return lists
+// placement is the router's partition of stripes [0, stripes) into
+// per-shard subsets: a pure function of the stripe count.
+type placement struct {
+	stripes int
+	shards  []stripeSubset
 }
 
-// scatter partitions [0, stripes) into the per-shard stripe lists and runs
-// fn once per non-empty list — in parallel goroutines when rows are
+// placementFor returns the partition of [0, stripes), memoized in a small
+// direct-mapped table keyed by the stripe count: a server's vectors come
+// in a few lengths, so steady-state scatters build no stripe lists.
+// Callers must not modify the returned subsets.
+func (sh *Shard) placementFor(stripes int) *placement {
+	slot := &sh.placements[stripes%len(sh.placements)]
+	if pl := slot.Load(); pl != nil && pl.stripes == stripes {
+		return pl
+	}
+	pl := &placement{stripes: stripes, shards: make([]stripeSubset, len(sh.accs))}
+	for s := 0; s < stripes; s++ {
+		sub := &pl.shards[sh.shardOf(s)]
+		sub.list = append(sub.list, s)
+	}
+	for i := range pl.shards {
+		pl.shards[i].runs = stripeRuns(pl.shards[i].list)
+	}
+	slot.Store(pl)
+	return pl
+}
+
+// scatter partitions [0, stripes) into the per-shard stripe subsets and
+// runs fn once per non-empty subset — in parallel goroutines when rows are
 // word-aligned (each shard then writes disjoint destination words),
 // sequentially in shard order otherwise (neighbouring stripes share
 // destination words across shard boundaries). On multiple failures the
 // lowest-index failing shard's error is returned, so the result is
 // deterministic (each shard's own error is already its lowest failing
 // stripe's, see runGroups).
-func (sh *Shard) scatter(stripes int, fn func(shard int, list []int) error) error {
-	lists := sh.stripeLists(stripes)
-	for i, l := range lists {
-		if len(l) > 0 {
+func (sh *Shard) scatter(stripes int, fn func(shard int, sub *stripeSubset) error) error {
+	subs := sh.placementFor(stripes).shards
+	for i := range subs {
+		if n := len(subs[i].list); n > 0 {
 			sh.perShard[i].ops.Inc()
-			sh.perShard[i].stripes.Add(int64(len(l)))
+			sh.perShard[i].stripes.Add(int64(n))
 		}
 	}
 	if sh.cfg.Module.Columns%64 != 0 || len(sh.accs) == 1 {
-		for i, l := range lists {
-			if len(l) == 0 {
+		for i := range subs {
+			if len(subs[i].list) == 0 {
 				continue
 			}
-			if err := fn(i, l); err != nil {
+			if err := fn(i, &subs[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	errs := make([]error, len(lists))
+	errs := make([]error, len(subs))
 	var wg sync.WaitGroup
-	for i, l := range lists {
-		if len(l) == 0 {
+	for i := range subs {
+		if len(subs[i].list) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, l []int) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(i, l)
-		}(i, l)
+			errs[i] = fn(i, &subs[i])
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -217,8 +239,8 @@ func (sh *Shard) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	if y != nil {
 		yv = y.v
 	}
-	err := sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].execOpStripes(iop, dst.v, x.v, yv, list)
+	err := sh.scatter(stripes, func(i int, sub *stripeSubset) error {
+		return sh.accs[i].execOpStripes(iop, dst.v, x.v, yv, sub)
 	})
 	if err != nil {
 		sh.opSpan(start, iop, stripes, Stats{}, err)
@@ -249,8 +271,8 @@ func (sh *Shard) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, error) 
 	cols := sh.cfg.Module.Columns
 	stripes := (dst.Len() + cols - 1) / cols
 	vsv := vecsOf(vs)
-	err := sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].execReduceStripes(iop, dst.v, vsv, list)
+	err := sh.scatter(stripes, func(i int, sub *stripeSubset) error {
+		return sh.accs[i].execReduceStripes(iop, dst.v, vsv, sub)
 	})
 	if err != nil {
 		sh.reduceSpan(start, iop, stripes, Stats{}, err)
@@ -282,30 +304,46 @@ func (sh *Shard) Eval(src string, vars map[string]*BitVector) (*BitVector, Stats
 }
 
 // EvalExpr evaluates a compiled expression scattered across the shards
-// (see Accelerator.EvalExpr). Results and modeled cost are identical to
-// a single module of the same configuration.
+// into a fresh result vector (see Accelerator.EvalExpr). Results and
+// modeled cost are identical to a single module of the same
+// configuration.
 func (sh *Shard) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
+	out := NewBitVector(boundLen(ce.plan, vars))
+	st, err := sh.EvalExprInto(ce, out, vars)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return out, st, nil
+}
+
+// EvalExprInto evaluates a compiled expression scattered across the
+// shards into dst, under Accelerator.EvalExprInto's destination
+// contract. Results and modeled cost are identical to a single module of
+// the same configuration.
+func (sh *Shard) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[string]*BitVector) (Stats, error) {
 	ref := sh.ref()
 	p := ce.plan
 	n, err := ref.evalPrep(p, vars)
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
+	}
+	if err := checkEvalDst(p, dst, vars, n); err != nil {
+		return Stats{}, err
 	}
 	cols := sh.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	out := NewBitVector(n)
-	err = sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].evalExec(p, vars, out, stripes, list)
+	err = sh.scatter(stripes, func(i int, sub *stripeSubset) error {
+		return sh.accs[i].evalExec(p, vars, dst, stripes, sub)
 	})
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	total, err := ref.evalCost(p.Prog, stripes)
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	sh.addTotals(total)
-	return out, total, nil
+	return total, nil
 }
 
 // Totals returns the accumulated statistics of every operation routed
@@ -538,15 +576,16 @@ func (sb *ShardBatch) submitScattered(stripes int, mk func(acc *Accelerator, gro
 		return sb.failed(pipeline.ErrClosed)
 	}
 	sh := sb.sh
-	lists := sh.stripeLists(stripes)
+	subs := sh.placementFor(stripes).shards
 	pfs := make([]*pipeline.Future, 0, len(sh.accs))
 	for i, acc := range sh.accs {
-		if len(lists[i]) == 0 {
+		list := subs[i].list
+		if len(list) == 0 {
 			continue
 		}
 		sh.perShard[i].ops.Inc()
-		sh.perShard[i].stripes.Add(int64(len(lists[i])))
-		tasks := mk(acc, acc.groupStripeList(lists[i]))
+		sh.perShard[i].stripes.Add(int64(len(list)))
+		tasks := mk(acc, acc.groupStripeList(list))
 		pf, err := sb.poolFor(i).Submit(tasks)
 		if err != nil {
 			return sb.failed(err)

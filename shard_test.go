@@ -2,6 +2,7 @@ package elp2im
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +39,9 @@ func TestNewShardValidation(t *testing.T) {
 
 // TestShardPlacement pins the placement function's invariants: it is a
 // deterministic pure function of the stripe index, constant within a
-// placement chunk, and stripeLists is an exact partition of [0, n) into
-// ascending lists.
+// placement chunk, and placementFor is an exact partition of [0, n) into
+// ascending lists whose runs cover exactly their list, memoized per
+// stripe count.
 func TestShardPlacement(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		sh := newShard(t, n)
@@ -58,12 +60,25 @@ func TestShardPlacement(t *testing.T) {
 					n, s, owner[s], owner[s-1])
 			}
 		}
-		lists := sh.stripeLists(stripes)
-		if len(lists) != n {
-			t.Fatalf("shards=%d: %d lists", n, len(lists))
+		pl := sh.placementFor(stripes)
+		if sh.placementFor(stripes) != pl {
+			t.Fatalf("shards=%d: placement not memoized", n)
+		}
+		if len(pl.shards) != n {
+			t.Fatalf("shards=%d: %d lists", n, len(pl.shards))
 		}
 		seen := make([]bool, stripes)
-		for i, l := range lists {
+		for i, sub := range pl.shards {
+			l := sub.list
+			var fromRuns []int
+			for _, r := range sub.runs {
+				for s := r[0]; s < r[1]; s++ {
+					fromRuns = append(fromRuns, s)
+				}
+			}
+			if !reflect.DeepEqual(fromRuns, l) {
+				t.Fatalf("shards=%d: list %d runs %v do not cover list %v", n, i, sub.runs, l)
+			}
 			prev := -1
 			for _, s := range l {
 				if s <= prev {

@@ -265,13 +265,13 @@ func (a *Accelerator) arithCost(p *vertical.Program, stripes int) (Stats, error)
 }
 
 // arithExec executes the µProgram's steps in order over the stripes in
-// list (nil means all) — the execution half of ArithProg, which a Shard
+// sub (nil means all) — the execution half of ArithProg, which a Shard
 // scatters. Step data flow is stripe-local, so disjoint stripe subsets
 // may run concurrently as long as each observes the steps in order.
-func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, list []int) error {
+func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, sub *stripeSubset) error {
 	for i := range p.Steps {
 		st := &p.Steps[i]
-		if err := a.evalExec(st.Plan, binds, binds[st.Dst], stripes, list); err != nil {
+		if err := a.evalExec(st.Plan, binds, binds[st.Dst], stripes, sub); err != nil {
 			return err
 		}
 	}
@@ -348,8 +348,8 @@ func (sh *Shard) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Ve
 	}
 	cols := sh.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	err = sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].arithExec(ca.prog, binds, stripes, list)
+	err = sh.scatter(stripes, func(i int, sub *stripeSubset) error {
+		return sh.accs[i].arithExec(ca.prog, binds, stripes, sub)
 	})
 	if err != nil {
 		return nil, Stats{}, err
