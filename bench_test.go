@@ -580,11 +580,11 @@ func evalBenchExpr(depth int) string {
 
 // BenchmarkEvalDAG sweeps expression-DAG depth (a depth-d tree has 2^d-1
 // gates) through the two word-level execution tiers: fused cluster
-// kernels (default) vs node-at-a-time kernels (DisableFusion). The fused
-// tier's win is memory traffic — one blockwise pass per plan cluster
-// instead of one full-vector pass per gate — so the speedup grows with
-// gates-per-cluster. bench.sh part 5 turns this sweep into
-// BENCH_eval.json.
+// kernels (default) vs node-at-a-time kernels (DisableFusion). Both run
+// the same gate loops; the fused tier streams each plan cluster's
+// operands once, running its gates over cache-resident blocks, where the
+// node tier makes one full-vector pass per gate. bench.sh part 5 turns
+// this sweep into BENCH_eval.json.
 func BenchmarkEvalDAG(b *testing.B) {
 	tiers := []struct {
 		name   string

@@ -250,7 +250,9 @@ func fuzzAccPair() (*Accelerator, *Accelerator, error) {
 // FuzzEvalDAG generates random expression DAGs (depth ≤ 6 over eight
 // variables) and checks the fused tier bit-for-bit against both the
 // node-kernel tier and the host parse-tree oracle, with struct-equal
-// Stats.
+// Stats. The fused accelerator must also record no fusion fallback: a
+// cluster whose kernel fails to derive runs node-at-a-time with correct
+// results, so only the counter shows it.
 func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(1), byte(3), uint16(200))
 	f.Add(int64(2), byte(6), uint16(401))
@@ -288,6 +290,9 @@ func FuzzEvalDAG(f *testing.F) {
 		}
 		if fst != ust {
 			t.Fatalf("%q: fused stats %+v != node-kernel stats %+v", src, fst, ust)
+		}
+		if _, falls := fused.FusionCounters(); falls != 0 {
+			t.Fatalf("%q: fused accelerator fell back to node-at-a-time (%d fallbacks)", src, falls)
 		}
 		env := map[string]bool{}
 		for i := 0; i < n; i++ {

@@ -80,12 +80,13 @@ func (sp *FusedSpec) Key() string {
 	return b.String()
 }
 
-// Execution geometry of a fused kernel's word loop. Packing keeps most
-// intermediates in machine registers, so the scratch file carries only
-// inter-pass values: blocks of 1024 words (8 KiB per register) amortize
-// the per-block view setup and indirect pass calls down to noise while
-// the few live scratch rows stay cache-resident. 32 scratch registers
-// bound the packed program's live values (a program needing more fails
+// Execution geometry of a fused kernel's word loop. Every gate is one
+// pass over a block, and every intermediate value lives in a scratch
+// register of the block's width: blocks of 1024 words (8 KiB per
+// register) amortize the per-block view setup and indirect gate calls
+// down to noise while the few live scratch rows stay cache-resident, so
+// only the inputs and the result touch main memory. 32 scratch registers
+// bound the program's live values (a program needing more fails
 // derivation and the caller falls back to node-at-a-time kernels).
 const (
 	fusedBlockWords = 1024
@@ -107,35 +108,16 @@ const (
 )
 
 // fusedInstr is one synthesized word-level operation: a 4-bit binary
-// truth table applied over whole words. Operand encoding: 0..k-1 are the
-// kernel inputs, k+r is scratch register r. The instruction list is the
-// kernel's gate-level IR; execution packs it into multi-gate passes
-// (see pack and fusedgen.go).
+// truth table applied over whole words by its gateFns loop. Operand
+// encoding: 0..k-1 are the kernel inputs, k+r is scratch register r.
 type fusedInstr struct {
 	tab       uint8
 	dst, a, b uint8
 }
 
-//go:generate go run ../../scripts/genfused -o fusedgen.go
-
-// fusedPass is one generated word loop from the pass library
-// (fusedgen.go): a straight-line evaluation of up to three composed
-// gates whose intermediate values live in machine registers. Trailing
-// operands a pass does not use are ignored (callers pass any valid
-// view).
-type fusedPass func(dst, a, b, c, d []uint64)
-
-// fusedMacro is one packed execution pass: a pass-library loop over up
-// to four operands. Operand encoding matches fusedInstr (0..k-1 inputs,
-// k+r scratch); unused operand slots hold 0, which is always a valid
-// view.
-type fusedMacro struct {
-	fn              fusedPass
-	dst, a, b, c, d uint8
-}
-
 // Fused is a compiled k-input word-level kernel: the whole cluster of
-// gates collapses into one pass over the operand words. Like the 2-input
+// gates runs block by block over the operand words, one gate loop per
+// pass, with intermediates in cache-resident scratch. Like the 2-input
 // Kernel it is self-derived — DeriveFused probes the engine's real
 // command sequence and compiles the observed truth table — so a fused
 // kernel cannot disagree with the command-accurate execution of its
@@ -143,8 +125,7 @@ type fusedMacro struct {
 type Fused struct {
 	k        int
 	table    uint64
-	code     []fusedInstr // gate-level IR, one instr per gate
-	macros   []fusedMacro // packed execution passes (see pack)
+	code     []fusedInstr // one instr per gate, in execution order
 	nscratch int
 	res      uint8
 	resConst int8
@@ -162,15 +143,9 @@ func (f *Fused) Table() uint64 { return f.table }
 // node-at-a-time path.
 func (f *Fused) Ops() int { return len(f.code) }
 
-// Passes returns the number of packed word loops Apply runs per block.
-// Packing fuses up to three gates per pass, so Passes ≤ Ops; on a
-// memory-port-bound machine the pass count, not the gate count, is
-// what Apply's runtime scales with.
-func (f *Fused) Passes() int { return len(f.macros) }
-
 // String renders the kernel for diagnostics.
 func (f *Fused) String() string {
-	return fmt.Sprintf("fused(k=%d, table=%#x, ops=%d, passes=%d)", f.k, f.table, len(f.code), len(f.macros))
+	return fmt.Sprintf("fused(k=%d, table=%#x, ops=%d)", f.k, f.table, len(f.code))
 }
 
 // Apply computes dst = f(srcs...) word-wise over len(dst) words. srcs
@@ -215,200 +190,11 @@ func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 			view[f.k+r] = file[r][:m]
 		}
 		view[f.res] = dst[base : base+m]
-		for i := range f.macros {
-			in := &f.macros[i]
-			in.fn(view[in.dst], view[in.a], view[in.b], view[in.c], view[in.d])
+		for i := range f.code {
+			in := &f.code[i]
+			gateFns[in.tab](view[in.dst], view[in.a], view[in.b])
 		}
 	}
-}
-
-// pack tiles the kernel's gate-level program into multi-gate passes
-// from the generated library (fusedgen.go), so each pass streams its
-// operands once and keeps intermediate gate values in machine
-// registers. Packing trims the per-block pass count, but it is not
-// where fusion's speedup over node-at-a-time kernels comes from: that is
-// block-wise evaluation, which keeps a cluster chain's intermediates
-// cache-resident so only variable reads and the result touch main memory
-// (see the facade's fused word body). Restricting packing to single-gate
-// passes leaves fused eval within run-to-run noise at DAG depths 1–5.
-//
-// The pass rebuilds SSA form from the register program, counts uses
-// over the values reachable from the result, and munches bottom-up: a
-// gate whose operands are both single-use gate values becomes a
-// balanced-tree pass q(f1(a,b), f2(c,d)); one fusable operand extends
-// into a chain pass h(g(f(a,b),c),d) when its own first operand is
-// fusable too, else a two-gate pass g(f(a,b),c); anything else is a
-// one-gate pass. A fusable value on the second operand is re-rooted to
-// the first by transposing the consumer's truth table (bit 1 ↔ bit 2).
-// Multi-use values are materialized exactly once, so the packed program
-// never duplicates gate work. A fresh liveness-scan register allocation
-// over the passes bounds scratch at fusedMaxScratch.
-func (f *Fused) pack() error {
-	if f.resConst != resOperand || len(f.code) == 0 {
-		return nil
-	}
-	// Rebuild SSA: the register allocator reuses registers, so resolve
-	// each operand to the value its register holds at that point.
-	type val struct {
-		tab  uint8
-		a, b int
-	}
-	vals := make([]val, 0, len(f.code))
-	regVal := make([]int, f.nscratch)
-	resolve := func(op uint8) int {
-		if int(op) < f.k {
-			return int(op)
-		}
-		return regVal[int(op)-f.k]
-	}
-	for _, in := range f.code {
-		v := val{tab: in.tab, a: resolve(in.a), b: resolve(in.b)}
-		vals = append(vals, v)
-		regVal[int(in.dst)-f.k] = f.k + len(vals) - 1
-	}
-	root := resolve(f.res)
-
-	// Use counts over values reachable from the result. An operand read
-	// twice by one gate counts twice: fusing it would duplicate its work,
-	// so only uses == 1 values are candidates.
-	uses := make([]int, len(vals))
-	var markUses func(op int)
-	markUses = func(op int) {
-		if op < f.k {
-			return
-		}
-		i := op - f.k
-		uses[i]++
-		if uses[i] > 1 {
-			return
-		}
-		markUses(vals[i].a)
-		markUses(vals[i].b)
-	}
-	markUses(root)
-
-	// swap transposes a table's operands (bit 1 ↔ bit 2), matching the
-	// canonicalization in synState.emit.
-	swap := func(tab uint8) uint8 { return tab&0b1001 | tab&0b0010<<1 | tab&0b0100>>1 }
-	fusable := func(op int) bool { return op >= f.k && uses[op-f.k] == 1 }
-
-	// Tile bottom-up from the result. Operand space for macroIR: inputs
-	// 0..k-1, then k+i for pass i's output; -1 marks an unused slot.
-	type macroIR struct {
-		fn  fusedPass
-		ops [4]int
-	}
-	var macros []macroIR
-	memo := make([]int, len(vals))
-	for i := range memo {
-		memo[i] = -1
-	}
-	var emit func(op int) int
-	emit = func(op int) int {
-		if op < f.k {
-			return op
-		}
-		if m := memo[op-f.k]; m >= 0 {
-			return m
-		}
-		v := vals[op-f.k]
-		tab, a, b := v.tab, v.a, v.b
-		if !fusable(a) && fusable(b) {
-			tab, a, b = swap(tab), b, a
-		}
-		var m macroIR
-		switch {
-		case fusable(a) && fusable(b) && a != b:
-			A, B := vals[a-f.k], vals[b-f.k]
-			m.fn = quadTreeFns[int(tab)<<8|int(A.tab)<<4|int(B.tab)]
-			m.ops = [4]int{emit(A.a), emit(A.b), emit(B.a), emit(B.b)}
-		case fusable(a):
-			A := vals[a-f.k]
-			gtab, ga, gb := A.tab, A.a, A.b
-			if !fusable(ga) && fusable(gb) {
-				gtab, ga, gb = swap(gtab), gb, ga
-			}
-			if fusable(ga) && ga != gb {
-				G := vals[ga-f.k]
-				m.fn = quadChainFns[int(tab)<<8|int(gtab)<<4|int(G.tab)]
-				m.ops = [4]int{emit(G.a), emit(G.b), emit(gb), emit(b)}
-			} else {
-				m.fn = ternFns[int(tab)<<4|int(A.tab)]
-				m.ops = [4]int{emit(A.a), emit(A.b), emit(b), -1}
-			}
-		default:
-			m.fn = ternFns[0b1010<<4|int(tab)]
-			m.ops = [4]int{emit(a), emit(b), -1, -1}
-		}
-		macros = append(macros, m)
-		enc := f.k + len(macros) - 1
-		memo[op-f.k] = enc
-		return enc
-	}
-	emit(root)
-
-	// Liveness-scan register allocation over the passes; the result pass
-	// lives to the end so its view can alias dst.
-	last := make([]int, len(macros))
-	for i, m := range macros {
-		for _, op := range m.ops {
-			if op >= f.k {
-				last[op-f.k] = i
-			}
-		}
-	}
-	last[len(macros)-1] = len(macros)
-
-	reg := make([]int, len(macros))
-	nscratch := 0
-	var free []int
-	packed := make([]fusedMacro, len(macros))
-	for i, m := range macros {
-		var enc [4]uint8
-		for j, op := range m.ops {
-			switch {
-			case op < 0:
-				enc[j] = 0 // unused slot: any valid view
-			case op < f.k:
-				enc[j] = uint8(op)
-			default:
-				enc[j] = uint8(f.k + reg[op-f.k])
-			}
-		}
-		// Free dying operands — each value once, however many slots it
-		// fills — so the destination may reuse a dying operand's register.
-		for j, op := range m.ops {
-			if op < f.k || last[op-f.k] != i {
-				continue
-			}
-			dup := false
-			for _, p := range m.ops[:j] {
-				if p == op {
-					dup = true
-				}
-			}
-			if !dup {
-				free = append(free, reg[op-f.k])
-			}
-		}
-		var r int
-		if n := len(free); n > 0 {
-			r = free[n-1]
-			free = free[:n-1]
-		} else {
-			r = nscratch
-			nscratch++
-		}
-		reg[i] = r
-		packed[i] = fusedMacro{fn: m.fn, dst: uint8(f.k + r), a: enc[0], b: enc[1], c: enc[2], d: enc[3]}
-	}
-	if nscratch > fusedMaxScratch {
-		return fmt.Errorf("kernel: fused packing needs %d scratch registers, max %d", nscratch, fusedMaxScratch)
-	}
-	f.macros = packed
-	f.nscratch = nscratch
-	f.res = uint8(f.k + reg[len(macros)-1])
-	return nil
 }
 
 // varPat64 holds the packed probe pattern of input j: bit i = (i>>j)&1.
@@ -452,12 +238,12 @@ func tableMask(k int) uint64 {
 // DeriveFused probes exec's execution of the spec's command sequence on
 // a scratch subarray — all 2^K input combinations packed into one
 // 64-column run — reads the k-input truth table back from the result
-// row, and compiles it to a block-wise word-level program (Shannon
-// decomposition with subfunction sharing). Like Derive, the result is
-// grounded in the device model: a verification run on full-word operand
-// patterns cross-checks the compiled kernel against the engine, and any
-// disagreement (or non-uniform behaviour across bit positions) fails
-// derivation so the caller stays on a command-accurate path.
+// row, and compiles it to a block-wise program of gateFns passes. Like
+// Derive, the result is grounded in the device model: a verification run
+// on full-word operand patterns cross-checks the compiled kernel against
+// the engine, and any disagreement (or non-uniform behaviour across bit
+// positions) fails derivation so the caller stays on a command-accurate
+// path.
 func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("kernel: nil executor")
@@ -499,28 +285,22 @@ func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, err
 		}
 	}
 
-	f, err := synthesize(table, spec.K)
+	// Two programs compute the table. Shannon synthesis reconstructs the
+	// function from the table alone and can cost several times the
+	// cluster's own gate count; the spec's register program, lowered gate
+	// for gate, is a word-level implementation too. Both get their
+	// single-use NOTs folded away, and the lowering wins if it compiles to
+	// fewer gates — but only after checking it against the probed word, so
+	// a canonical-gate assumption that disagrees with the engine's observed
+	// behaviour is discarded (ties and degenerate collapses stay with the
+	// synthesis).
+	f, err := synthesize(table, spec.K).foldNots().compile(table)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.pack(); err != nil {
-		return nil, err
-	}
-	// Shannon synthesis reconstructs the function from the table alone and
-	// can cost several times the cluster's own gate count. The spec's
-	// register program is a word-level implementation too; lower it
-	// directly and keep whichever compiles to fewer gates — but only after
-	// checking the lowering against the probed word, so a canonical-gate
-	// assumption that disagrees with the engine's observed behaviour is
-	// discarded (ties and degenerate collapses stay with the synthesis).
-	if g := compileSpec(&spec, table); g != nil && len(g.code) < len(f.code) && g.pack() == nil {
-		srcs := make([][]uint64, spec.K)
-		for j := range srcs {
-			srcs[j] = []uint64{varPat64[j]}
-		}
-		var got [1]uint64
-		g.Apply(got[:], srcs)
-		if got[0] == word {
+	if s := compileSpec(&spec); s != nil {
+		g, err := s.foldNots().compile(table)
+		if err == nil && len(g.code) < len(f.code) && g.applyWord(varPat64[:spec.K]) == word {
 			f = g
 		}
 	}
@@ -528,17 +308,22 @@ func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, err
 	if err != nil {
 		return nil, fmt.Errorf("kernel: verifying fused spec: %w", err)
 	}
-	srcs := make([][]uint64, spec.K)
-	for j := range srcs {
-		srcs[j] = []uint64{fusedVerifyWords[j]}
-	}
-	var want [1]uint64
-	f.Apply(want[:], srcs)
-	if got != want[0] {
+	if want := f.applyWord(fusedVerifyWords[:spec.K]); got != want {
 		return nil, fmt.Errorf("kernel: fused spec is not a pure bitwise function: device %016x, compiled table %016x",
-			got, want[0])
+			got, want)
 	}
 	return f, nil
+}
+
+// applyWord evaluates f over one word per input.
+func (f *Fused) applyWord(inputs []uint64) uint64 {
+	srcs := make([][]uint64, len(inputs))
+	for j := range srcs {
+		srcs[j] = inputs[j : j+1]
+	}
+	var out [1]uint64
+	f.Apply(out[:], srcs)
+	return out[0]
 }
 
 // specTab maps an engine op to its canonical 4-bit word truth table
@@ -565,24 +350,19 @@ func specTab(op engine.Op) (tab uint8, unary, ok bool) {
 	return 0, false, false
 }
 
-// compileSpec lowers the spec's own register program gate-for-gate to a
-// word-level fused program over the same register numbering (inputs
-// 0..K-1, scratch K..Regs-1). The lowering assumes canonical gate
-// semantics, so the caller must validate the result against the probed
-// truth table before trusting it. Returns nil when the spec cannot be
-// lowered: an unknown op, a read of a never-written scratch register
-// (pooled register files are not zeroed), too much scratch, or a result
-// left in an input register (the result view must alias dst).
-func compileSpec(spec *FusedSpec, table uint64) *Fused {
-	nscratch := spec.Regs - spec.K
-	if nscratch > fusedMaxScratch || spec.Result < spec.K || len(spec.Ops) == 0 {
-		return nil
-	}
+// compileSpec lowers the spec's own register program gate for gate to
+// an SSA program, resolving every register read to the value last
+// written there. The lowering assumes canonical gate semantics, so the
+// caller must validate the compiled result against the probed truth
+// table before trusting it. Returns nil when the spec cannot be lowered:
+// an unknown op, or a read of a never-written scratch register.
+func compileSpec(spec *FusedSpec) *synState {
+	s := newSynState(spec.K)
+	reg := make([]int, spec.Regs)
 	defined := make([]bool, spec.Regs)
 	for j := 0; j < spec.K; j++ {
-		defined[j] = true
+		reg[j], defined[j] = j, true
 	}
-	code := make([]fusedInstr, 0, len(spec.Ops))
 	for _, op := range spec.Ops {
 		tab, unary, ok := specTab(op.Op)
 		if !ok {
@@ -595,25 +375,14 @@ func compileSpec(spec *FusedSpec, table uint64) *Fused {
 		if !defined[op.A] || !defined[b] {
 			return nil
 		}
-		code = append(code, fusedInstr{
-			tab: tab,
-			dst: uint8(op.Dst),
-			a:   uint8(op.A),
-			b:   uint8(b),
-		})
+		reg[op.Dst] = s.define(opKey{tab: tab, a: reg[op.A], b: reg[b]})
 		defined[op.Dst] = true
 	}
 	if !defined[spec.Result] {
 		return nil
 	}
-	return &Fused{
-		k:        spec.K,
-		table:    table,
-		code:     code,
-		nscratch: nscratch,
-		res:      uint8(spec.Result),
-		resConst: resOperand,
-	}
+	s.res = reg[spec.Result]
+	return s
 }
 
 // runFusedProbe loads the K input rows with the given words, executes the
@@ -669,33 +438,33 @@ type opKey struct {
 	a, b int
 }
 
-// synState carries one synthesis run.
+// synState is one SSA program under construction: the gate list, the
+// operand holding its value, and the memo tables of a synthesis run.
 type synState struct {
 	k     int
 	code  []opKey // SSA program: instruction i defines value k+i
+	res   int     // operand holding the program's value
 	funcs map[synKey]int
 	ops   map[opKey]int
-	nots  map[int]int
 }
 
-// synthesize compiles a 2^k-entry truth table to a word-level program:
-// Shannon decomposition on the highest variable with memoized
-// subfunctions, constant/identity folding, and a liveness-based register
-// allocation bounded by fusedMaxScratch.
-func synthesize(table uint64, k int) (*Fused, error) {
-	s := &synState{
-		k:     k,
-		funcs: map[synKey]int{},
-		ops:   map[opKey]int{},
-		nots:  map[int]int{},
-	}
-	res := s.rec(table&tableMask(k), k)
-	return s.compile(table&tableMask(k), res)
+// newSynState returns an empty program over k inputs.
+func newSynState(k int) *synState {
+	return &synState{k: k, funcs: map[synKey]int{}, ops: map[opKey]int{}}
+}
+
+// synthesize builds an SSA program for a 2^k-entry truth table: Shannon
+// decomposition on the highest variable with memoized subfunctions and
+// constant/identity folding.
+func synthesize(table uint64, k int) *synState {
+	s := newSynState(k)
+	s.res = s.rec(table&tableMask(k), k)
+	return s
 }
 
 // rec returns the operand computing the n-variable subfunction `table`.
 func (s *synState) rec(table uint64, n int) int {
-	mask := tableMask2(n)
+	mask := tableMask(n)
 	table &= mask
 	if table == 0 {
 		return synConst0
@@ -720,7 +489,7 @@ func (s *synState) rec(table uint64, n int) int {
 	}
 	// Shannon on the highest variable: table = hi·x_{n-1} + lo·¬x_{n-1}.
 	half := uint(1) << uint(n-1)
-	loMask := tableMask2(n - 1)
+	loMask := tableMask(n - 1)
 	lo := table & loMask
 	hi := (table >> half) & loMask
 	var v int
@@ -741,14 +510,6 @@ func (s *synState) rec(table uint64, n int) int {
 	return v
 }
 
-// tableMask2 is tableMask for subfunction widths (n may reach 6).
-func tableMask2(n int) uint64 {
-	if n >= 6 {
-		return ^uint64(0)
-	}
-	return 1<<(1<<uint(n)) - 1
-}
-
 // not returns the operand computing ¬x, memoized.
 func (s *synState) not(x int) int {
 	switch x {
@@ -757,17 +518,12 @@ func (s *synState) not(x int) int {
 	case synConst1:
 		return synConst0
 	}
-	if v, ok := s.nots[x]; ok {
-		return v
-	}
-	v := s.define(opKey{tab: 0b0101, a: x, b: x})
-	s.nots[x] = v
-	return v
+	return s.define(opKey{tab: 0b0101, a: x, b: x})
 }
 
 // emit returns the operand computing tab(a, b), folding constants,
 // equal operands, and degenerate tables, and value-numbering the rest.
-// Table bit i = f(a=i&1, b=i>>1&1), matching binaryFn.
+// Table bit i = f(a=i&1, b=i>>1&1), matching gateFns.
 func (s *synState) emit(tab uint8, a, b int) int {
 	t0, t1, t2, t3 := tab&1, tab>>1&1, tab>>2&1, tab>>3&1
 	switch {
@@ -831,12 +587,95 @@ func (s *synState) define(k opKey) int {
 	return v
 }
 
-// compile finishes a synthesis: dead-code elimination over the SSA
-// program, then a liveness-scan register allocation into at most
-// fusedMaxScratch scratch registers (word loops are element-wise, so a
-// destination may reuse a dying operand's register).
-func (s *synState) compile(table uint64, res int) (*Fused, error) {
+// live marks the SSA values the result depends on, itself included.
+func (s *synState) live() []bool {
+	live := make([]bool, len(s.code))
+	if s.res < s.k {
+		return live
+	}
+	live[s.res-s.k] = true
+	for i := len(s.code) - 1; i >= 0; i-- {
+		if !live[i] {
+			continue
+		}
+		if a := s.code[i].a; a >= s.k {
+			live[a-s.k] = true
+		}
+		if b := s.code[i].b; b >= s.k {
+			live[b-s.k] = true
+		}
+	}
+	return live
+}
+
+// foldNots returns the program with every NOT that exactly one gate
+// reads absorbed into that gate's truth table: ¬x on operand a swaps
+// table bits 0↔1 and 2↔3, on operand b bits 0↔2 and 1↔3. A NOT read by
+// several gates, or one that is the result, stays. The rewritten gates
+// are re-emitted into a fresh program, so emit's constant folding and
+// value numbering apply again and compile drops the absorbed NOTs as
+// dead code.
+func (s *synState) foldNots() *synState {
+	live := s.live()
+	isNot := func(in opKey) bool { return in.tab == 0b0101 && in.a == in.b }
+	// readers counts the live gates reading each value (a gate reading
+	// it twice counts once), plus one for the result.
+	readers := make([]int, len(s.code))
+	for i, in := range s.code {
+		if !live[i] {
+			continue
+		}
+		if in.a >= s.k {
+			readers[in.a-s.k]++
+		}
+		if in.b >= s.k && in.b != in.a {
+			readers[in.b-s.k]++
+		}
+	}
+	if s.res >= s.k {
+		readers[s.res-s.k]++
+	}
+	folds := func(v int) bool { return v >= s.k && readers[v-s.k] == 1 && isNot(s.code[v-s.k]) }
+
+	t := newSynState(s.k)
+	val := make([]int, len(s.code)) // t's operand for each value of s
+	at := func(v int) int {
+		if v < s.k {
+			return v
+		}
+		return val[v-s.k]
+	}
+	for i, in := range s.code {
+		if !live[i] {
+			continue
+		}
+		tab, a, b := in.tab, in.a, in.b
+		if !isNot(in) {
+			for folds(a) {
+				x := s.code[a-s.k].a
+				tab = tab&0b0101<<1 | tab&0b1010>>1
+				if b == a {
+					b, tab = x, tab&0b0011<<2|tab&0b1100>>2
+				}
+				a = x
+			}
+			for folds(b) {
+				b, tab = s.code[b-s.k].a, tab&0b0011<<2|tab&0b1100>>2
+			}
+		}
+		val[i] = t.emit(tab, at(a), at(b))
+	}
+	t.res = at(s.res)
+	return t
+}
+
+// compile finishes a program: dead-code elimination over the SSA code,
+// then a liveness-scan register allocation into at most fusedMaxScratch
+// scratch registers (word loops are element-wise, so a destination may
+// reuse a dying operand's register).
+func (s *synState) compile(table uint64) (*Fused, error) {
 	f := &Fused{k: s.k, table: table, resConst: resOperand}
+	res := s.res
 	switch {
 	case res == synConst0:
 		f.resConst = resZero
@@ -849,20 +688,7 @@ func (s *synState) compile(table uint64, res int) (*Fused, error) {
 		return f, nil
 	}
 
-	// Mark live SSA values backward from the result.
-	live := make([]bool, len(s.code))
-	live[res-s.k] = true
-	for i := len(s.code) - 1; i >= 0; i-- {
-		if !live[i] {
-			continue
-		}
-		if a := s.code[i].a; a >= s.k {
-			live[a-s.k] = true
-		}
-		if b := s.code[i].b; b >= s.k {
-			live[b-s.k] = true
-		}
-	}
+	live := s.live()
 
 	// Last use per live value (the result lives to the end).
 	lastUse := make([]int, len(s.code))

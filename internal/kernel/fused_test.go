@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ambit"
 	"repro/internal/bitvec"
 	"repro/internal/dram"
+	"repro/internal/drisa"
 	"repro/internal/elpim"
 	"repro/internal/engine"
 )
@@ -303,50 +305,109 @@ func TestFusedApplyConcurrent(t *testing.T) {
 	}
 }
 
-// TestFusedPacking pins the pass-packing contract: balanced trees and
-// operand chains of three gates each collapse into one generated pass
-// (via the quad-tree and quad-chain shapes, the latter exercising the
-// operand-swap table transpose), and packing never runs more passes
-// than the program has gates.
-func TestFusedPacking(t *testing.T) {
-	exec := elpim.MustNew(elpim.DefaultConfig())
+// TestFusedFoldsNots pins the NOT fold on every engine family: a NOT
+// read by exactly one gate is absorbed into that gate's truth table, so
+// the served templates (a|b)&~c and (a&b)|~c compile to two gates, while
+// a NOT read by two gates, or one that is the result, stays a gate. Every
+// program must still match the software model at a ragged length.
+func TestFusedFoldsNots(t *testing.T) {
 	mod := dram.Default()
-
-	// (a & b) | (c & d): three gates, one quad-tree pass.
-	tree := FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
-		{Op: engine.OpAND, Dst: 4, A: 0, B: 1},
-		{Op: engine.OpAND, Dst: 5, A: 2, B: 3},
+	engines := map[string]Executor{
+		"elpim": elpim.MustNew(elpim.DefaultConfig()),
+		"ambit": ambit.MustNew(ambit.DefaultConfig()),
+		"drisa": drisa.MustNew(drisa.DefaultConfig()),
+	}
+	// (a|b)&~c and (a&b)|~c: the NOT folds into the final gate.
+	andNot := FusedSpec{K: 3, Regs: 6, Result: 5, Ops: []FusedOp{
+		{Op: engine.OpOR, Dst: 3, A: 0, B: 1},
+		{Op: engine.OpNOT, Dst: 4, A: 2},
+		{Op: engine.OpAND, Dst: 5, A: 3, B: 4},
+	}}
+	orNot := FusedSpec{K: 3, Regs: 6, Result: 5, Ops: []FusedOp{
+		{Op: engine.OpAND, Dst: 3, A: 0, B: 1},
+		{Op: engine.OpNOT, Dst: 4, A: 2},
+		{Op: engine.OpOR, Dst: 5, A: 3, B: 4},
+	}}
+	// (~c & a) | (~c ^ b): the NOT has two readers.
+	shared := FusedSpec{K: 3, Regs: 7, Result: 6, Ops: []FusedOp{
+		{Op: engine.OpNOT, Dst: 3, A: 2},
+		{Op: engine.OpAND, Dst: 4, A: 3, B: 0},
+		{Op: engine.OpXOR, Dst: 5, A: 3, B: 1},
 		{Op: engine.OpOR, Dst: 6, A: 4, B: 5},
 	}}
-	// d ^ (c & (a | b)): three gates, one quad-chain pass; the inner
-	// values sit on second operands, so packing must re-root them by
-	// transposing the consumers' tables.
-	chain := FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
-		{Op: engine.OpOR, Dst: 4, A: 0, B: 1},
-		{Op: engine.OpAND, Dst: 5, A: 2, B: 4},
-		{Op: engine.OpXOR, Dst: 6, A: 3, B: 5},
+	// ~((a & b) | c): the NOT is the result.
+	result := FusedSpec{K: 3, Regs: 6, Result: 5, Ops: []FusedOp{
+		{Op: engine.OpAND, Dst: 3, A: 0, B: 1},
+		{Op: engine.OpOR, Dst: 4, A: 3, B: 2},
+		{Op: engine.OpNOT, Dst: 5, A: 4},
 	}}
-	for name, spec := range map[string]FusedSpec{"tree": tree, "chain": chain} {
-		f, err := DeriveFused(exec, spec, mod)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if f.Ops() != 3 || f.Passes() != 1 {
-			t.Fatalf("%s packs to ops=%d passes=%d, want 3 gates in 1 pass (%v)",
-				name, f.Ops(), f.Passes(), f)
-		}
-	}
 
-	// Random programs: packing must never exceed one pass per gate.
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 32; trial++ {
-		spec := randomSpec(rng, 1+rng.Intn(MaxFusedInputs))
-		f, err := DeriveFused(exec, spec, mod)
+	// The fold itself, on the lowered spec programs.
+	folded := func(spec FusedSpec) (gates, nots int) {
+		f, err := compileSpec(&spec).foldNots().compile(0)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Key(), err)
 		}
-		if f.Passes() > f.Ops() {
-			t.Fatalf("spec %s: passes=%d > ops=%d", spec.Key(), f.Passes(), f.Ops())
+		for _, in := range f.code {
+			if in.tab == 0b0101 && in.a == in.b {
+				nots++
+			}
+		}
+		return len(f.code), nots
+	}
+	for _, c := range []struct {
+		name        string
+		spec        FusedSpec
+		gates, nots int
+	}{
+		{"(a|b)&~c", andNot, 2, 0},
+		{"(a&b)|~c", orNot, 2, 0},
+		{"shared", shared, 4, 1},
+		{"result", result, 3, 1},
+	} {
+		if g, n := folded(c.spec); g != c.gates || n != c.nots {
+			t.Errorf("%s folds to %d gates with %d NOTs, want %d with %d", c.name, g, n, c.gates, c.nots)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	const words = fusedBlockWords + 13
+	for name, exec := range engines {
+		for _, c := range []struct {
+			name string
+			spec FusedSpec
+			ops  int // 0: any
+		}{
+			{"(a|b)&~c", andNot, 2},
+			{"(a&b)|~c", orNot, 2},
+			{"shared", shared, 0},
+			{"result", result, 0},
+		} {
+			f, err := DeriveFused(exec, c.spec, mod)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, c.name, err)
+			}
+			if c.ops != 0 && f.Ops() != c.ops {
+				t.Errorf("%s %s: Ops()=%d, want %d (%v)", name, c.name, f.Ops(), c.ops, f)
+			}
+			srcs := make([][]uint64, c.spec.K)
+			for j := range srcs {
+				srcs[j] = make([]uint64, words)
+				for w := range srcs[j] {
+					srcs[j][w] = rng.Uint64()
+				}
+			}
+			dst := make([]uint64, words)
+			f.Apply(dst, srcs)
+			in := make([]uint64, c.spec.K)
+			for w := range dst {
+				for j := range in {
+					in[j] = srcs[j][w]
+				}
+				if want := softSpec(c.spec, in); dst[w] != want {
+					t.Fatalf("%s %s word %d: got %016x want %016x (%v)", name, c.name, w, dst[w], want, f)
+				}
+			}
 		}
 	}
 }

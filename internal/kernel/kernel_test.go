@@ -129,37 +129,87 @@ func TestDeriveRejectsNonBitwise(t *testing.T) {
 }
 
 // TestAllBinaryTables exercises every one of the 16 binary and 4 unary
-// compiled loops directly (engines only produce 8 of them).
+// kernels directly (engines only produce 8 of them) on every length from
+// 0 to 9 words — the 4× unrolled body and every tail length — with dst
+// separate, aliasing a, and aliasing b (Reduce folds in place). A unary
+// kernel is also applied with b == nil, as the facade's fast path calls
+// it, on every engine.
 func TestAllBinaryTables(t *testing.T) {
-	a := []uint64{verifyA, 0, ^uint64(0), 0x1234_5678_9ABC_DEF0}
-	b := []uint64{verifyB, ^uint64(0), 0, 0x0F0F_0F0F_F0F0_F0F0}
-	for table := uint8(0); table < 16; table++ {
-		fn := binaryFn(table)
-		dst := make([]uint64, len(a))
-		fn(dst, a, b)
-		for w := range dst {
-			for bit := 0; bit < 64; bit++ {
-				ai := a[w] >> uint(bit) & 1
-				bi := b[w] >> uint(bit) & 1
-				want := uint64(table) >> (bi<<1 | ai) & 1
-				if dst[w]>>uint(bit)&1 != want {
-					t.Fatalf("table %04b: word %d bit %d: got %d want %d",
-						table, w, bit, dst[w]>>uint(bit)&1, want)
+	rng := rand.New(rand.NewSource(5))
+	words := func(n int) []uint64 {
+		w := make([]uint64, n)
+		for i := range w {
+			w[i] = rng.Uint64()
+		}
+		return w
+	}
+	// check applies k under each aliasing mode and compares every bit
+	// with f(a, b).
+	check := func(k *Kernel, f func(a, b uint64) uint64) {
+		t.Helper()
+		for n := 0; n <= 9; n++ {
+			for _, alias := range []string{"none", "dst=a", "dst=b"} {
+				a, b := words(n), words(n)
+				want := make([]uint64, n)
+				for w := range want {
+					want[w] = f(a[w], b[w])
+				}
+				var dst []uint64
+				switch alias {
+				case "none":
+					dst = make([]uint64, n)
+				case "dst=a":
+					dst = a
+				case "dst=b":
+					dst = b
+				}
+				k.Apply(dst, a, b)
+				for w := range want {
+					if dst[w] != want[w] {
+						t.Fatalf("%v n=%d %s word %d: got %016x want %016x", k, n, alias, w, dst[w], want[w])
+					}
 				}
 			}
 		}
 	}
-	for table := uint8(0); table < 4; table++ {
-		fn := unaryFn(table)
-		dst := make([]uint64, len(a))
-		fn(dst, a, nil)
-		for w := range dst {
+	// bitwise evaluates a truth table one bit position at a time.
+	bitwise := func(table uint8, unary bool) func(a, b uint64) uint64 {
+		return func(a, b uint64) uint64 {
+			var out uint64
 			for bit := 0; bit < 64; bit++ {
-				ai := a[w] >> uint(bit) & 1
-				want := uint64(table) >> ai & 1
-				if dst[w]>>uint(bit)&1 != want {
-					t.Fatalf("unary table %02b: word %d bit %d: got %d want %d",
-						table, w, bit, dst[w]>>uint(bit)&1, want)
+				ai := a >> uint(bit) & 1
+				bi := b >> uint(bit) & 1
+				idx := bi<<1 | ai
+				if unary {
+					idx = ai
+				}
+				out |= uint64(table) >> idx & 1 << uint(bit)
+			}
+			return out
+		}
+	}
+	for table := uint8(0); table < 16; table++ {
+		check(newKernel(engine.OpAND, table), bitwise(table, false))
+	}
+	for table := uint8(0); table < 4; table++ {
+		check(newKernel(engine.OpNOT, table), bitwise(table, true))
+	}
+
+	mod := dram.Default()
+	for name, exec := range engines(t) {
+		for _, op := range []engine.Op{engine.OpNOT, engine.OpCOPY} {
+			k, err := Derive(exec, op, mod)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, op, err)
+			}
+			for n := 0; n <= 9; n++ {
+				a := words(n)
+				dst := make([]uint64, n)
+				k.Apply(dst, a, nil)
+				for w := range dst {
+					if want := softOp(op, a[w], 0); dst[w] != want {
+						t.Fatalf("%s/%v n=%d word %d: got %016x want %016x", name, op, n, w, dst[w], want)
+					}
 				}
 			}
 		}

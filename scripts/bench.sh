@@ -45,10 +45,11 @@
 #
 # Part 5 (BENCH_eval.json) sweeps BenchmarkEvalDAG: one expression DAG
 # per depth (1..6), evaluated over 1 Mbit operands through both
-# word-level tiers — the fused plan (packed multi-gate kernels, default)
-# and node-at-a-time kernels (DisableFusion) — recording ns/op per point
-# and the headline depth-4 fused speedup (see EXPERIMENTS.md "Reading
-# BENCH_eval.json").
+# word-level tiers — the fused plan (derived cluster kernels evaluated
+# block by block, default) and node-at-a-time kernels (DisableFusion) —
+# over 5 runs (-count 5), recording the median and min/max ns/op per
+# depth and tier and the headline depth-4 fused speedup (ratio of
+# medians; see EXPERIMENTS.md "Reading BENCH_eval.json").
 #
 # Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: one
 # vertical k-bit add over 1M elements per width (4/8/16/32), through
@@ -312,38 +313,53 @@ echo "wrote $wire_out" >&2
 cat "$wire_out"
 
 # Part 5: fused eval vs node-at-a-time kernels over the DAG depth sweep.
-# Both tiers run the identical plan; the fused tier's advantage is pass
-# packing (up to three gates per generated word loop), so the speedup
-# grows with depth as clusters get more gates to pack.
+# Both tiers run the identical plan through the same 16 gate loops; the
+# fused tier evaluates each cluster block by block, so its intermediates
+# stay cache-resident and only variable reads and the result touch main
+# memory. Each point is the median of eval_count runs, with their min
+# and max.
 eval_out="BENCH_eval.json"
 eval_benchtime="${EVAL_BENCHTIME:-1000x}"
-echo "bench.sh: eval DAG sweep (BenchmarkEvalDAG, ${eval_benchtime})" >&2
-eval_raw=$(go test -run '^$' -bench 'BenchmarkEvalDAG' -benchtime "$eval_benchtime" .)
+eval_count=5
+echo "bench.sh: eval DAG sweep (BenchmarkEvalDAG, ${eval_benchtime}, -count ${eval_count})" >&2
+eval_raw=$(go test -run '^$' -bench 'BenchmarkEvalDAG' -benchtime "$eval_benchtime" -count "$eval_count" .)
 printf '%s\n' "$eval_raw" >&2
-printf '%s\n' "$eval_raw" | awk -v out="$eval_out" -v host="$host_json" -v benchtime="$eval_benchtime" '
+printf '%s\n' "$eval_raw" | awk -v out="$eval_out" -v host="$host_json" -v benchtime="$eval_benchtime" -v count="$eval_count" '
 /^BenchmarkEvalDAG\// {
 	split($1, parts, "/")
 	depth = substr(parts[2], 6)
 	tier = parts[3]
 	sub(/-[0-9]+$/, "", tier)
-	if (tier == "fused") f[depth] = $3
-	else n[depth] = $3
+	key = depth SUBSEP (tier == "fused" ? "fused" : "node")
+	runs[key] = runs[key] " " $3
 	if (!(depth in seen)) { order[++np] = depth; seen[depth] = 1 }
 }
+# stat sorts the runs of one point and sets med, lo and hi.
+function stat(key,   v, k, i, j, t) {
+	k = split(runs[key], v, " ")
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+	med = k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2
+	lo = v[1]; hi = v[k]
+}
 END {
-	if (np < 1 || f[4] == "" || n[4] == "") {
+	if (np < 1 || runs[4, "fused"] == "" || runs[4, "node"] == "") {
 		print "bench.sh: missing eval benchmark output" > "/dev/stderr"
 		exit 1
 	}
 	printf "{\n" > out
 	printf "  %s,\n", host > out
 	printf "  \"benchtime\": \"%s\",\n", benchtime > out
+	printf "  \"count\": %s,\n", count > out
 	printf "  \"bits\": 1048576,\n" > out
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		d = order[i]
-		printf "    {\"depth\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_speedup\": %.2f}%s\n",
-			d, f[d], n[d], n[d] / f[d], i < np ? "," : "" > out
+		stat(d SUBSEP "fused"); fm = med; flo = lo; fhi = hi
+		stat(d SUBSEP "node"); nm = med; nlo = lo; nhi = hi
+		f[d] = fm; n[d] = nm
+		printf "    {\"depth\": %s, \"fused_ns_op\": %s, \"fused_min\": %s, \"fused_max\": %s, \"node_ns_op\": %s, \"node_min\": %s, \"node_max\": %s, \"fused_speedup\": %.2f}%s\n",
+			d, fm, flo, fhi, nm, nlo, nhi, nm / fm, i < np ? "," : "" > out
 	}
 	printf "  ],\n" > out
 	printf "  \"depth4_fused_speedup\": %.2f\n", n[4] / f[4] > out
