@@ -339,18 +339,18 @@ func (b *Batch) SubmitEval(src string, vars map[string]*BitVector) (*BitVector, 
 	if err != nil {
 		return nil, b.failed(err)
 	}
-	n, err := a.evalPrep(ce.plan, vars)
+	n, err := a.evalPrep(ce.prog, vars)
 	if err != nil {
 		return nil, b.failed(err)
 	}
 	cols := a.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	total, err := a.evalCost(ce.plan.Prog, stripes)
+	total, err := a.evalCost(ce.prog, stripes)
 	if err != nil {
 		return nil, b.failed(err)
 	}
 	out := NewBitVector(n)
-	r := a.evalResolve(ce.plan, vars, out)
+	r := a.evalResolve(ce.prog, vars, out)
 	tasks := a.evalTasks(r, a.groupStripes(stripes))
 	return out, b.enqueue(tasks, nil, total)
 }

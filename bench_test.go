@@ -579,20 +579,10 @@ func evalBenchExpr(depth int) string {
 }
 
 // BenchmarkEvalDAG sweeps expression-DAG depth (a depth-d tree has 2^d-1
-// gates) through the two word-level execution tiers: fused cluster
-// kernels (default) vs node-at-a-time kernels (DisableFusion). Both run
-// the same gate loops; the fused tier streams each plan cluster's
-// operands once, running its gates over cache-resident blocks, where the
-// node tier makes one full-vector pass per gate. bench.sh part 5 turns
-// this sweep into BENCH_eval.json.
+// gates) on the word-kernel tier: one derived kernel per gate, applied
+// stripe by stripe. bench.sh part 5 turns this sweep into
+// BENCH_eval.json.
 func BenchmarkEvalDAG(b *testing.B) {
-	tiers := []struct {
-		name   string
-		mutate []func(*Config)
-	}{
-		{"fused", nil},
-		{"nodekernel", []func(*Config){func(c *Config) { c.DisableFusion = true }}},
-	}
 	for _, depth := range []int{1, 2, 3, 4, 5, 6} {
 		src := evalBenchExpr(depth)
 		ce, err := CompileExpr(src)
@@ -605,20 +595,18 @@ func BenchmarkEvalDAG(b *testing.B) {
 		for _, name := range ce.Vars() {
 			vars[name] = RandomBitVector(rng, n)
 		}
-		for _, tier := range tiers {
-			b.Run(fmt.Sprintf("depth%d/%s", depth, tier.name), func(b *testing.B) {
-				acc, err := New(tier.mutate...)
-				if err != nil {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			acc, err := New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(n / 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := acc.EvalExpr(ce, vars); err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(n / 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := acc.EvalExpr(ce, vars); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -23,10 +23,6 @@
 //	                        on a home shard and each shard runs its own
 //	                        micro-batcher and admission queue (default 1)
 //	  -power-constrained    enforce the charge-pump/tFAW activation budget
-//	  -disable-fusion       evaluate expressions node-at-a-time (one derived
-//	                        kernel per gate) instead of fusing plan clusters
-//	                        into k-input kernels; results and modeled costs
-//	                        are bit-identical (differential/benchmark knob)
 //	  -window duration      micro-batch coalescing window (default 200µs; 0 = pass-through)
 //	  -max-batch int        max requests folded into one flush (default 64)
 //	  -max-queue int        admission-queue bound; beyond it requests get 503 (default 1024)
@@ -92,7 +88,6 @@ func run(args []string) error {
 	designName := fs.String("design", "elp2im", "elp2im | ambit | drisa")
 	shards := fs.Int("shards", 1, "independent accelerator shards (each with its own micro-batcher)")
 	powerConstrained := fs.Bool("power-constrained", false, "enforce the charge-pump/tFAW activation budget")
-	disableFusion := fs.Bool("disable-fusion", false, "evaluate expressions node-at-a-time instead of with fused cluster kernels")
 	window := fs.Duration("window", 200*time.Microsecond, "micro-batch coalescing window (0 = pass-through)")
 	maxBatch := fs.Int("max-batch", 64, "max requests folded into one flush")
 	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound (503 beyond it)")
@@ -115,7 +110,6 @@ func run(args []string) error {
 	mutate := func(c *elp2im.Config) {
 		c.Design = design
 		c.PowerConstrained = *powerConstrained
-		c.DisableFusion = *disableFusion
 	}
 	cfg := server.Config{
 		Window:                *window,

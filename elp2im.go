@@ -195,14 +195,6 @@ type Config struct {
 	// bit-identical either way; the knob exists for benchmarking the
 	// compiled-execution win and for differential testing.
 	DisableFastpath bool
-	// DisableFusion turns off expression-DAG fusion, forcing Eval through
-	// the node-at-a-time kernel path (one derived kernel per gate) instead
-	// of one fused k-input kernel per plan cluster (see internal/plan).
-	// Fused kernels are self-derived from the same device model, so
-	// results and modeled costs are bit-identical either way; the knob
-	// exists for benchmarking the fusion win and for differential testing.
-	// DisableFastpath implies it.
-	DisableFusion bool
 }
 
 // DefaultConfig returns ELP2IM on a DDR3-1600 module with 8 banks.
@@ -272,11 +264,6 @@ type Accelerator struct {
 	// dispatches stripes to these kernels directly on the vectors' words;
 	// every fallback condition routes through the command-accurate model.
 	kerns *kernel.Set
-
-	// fused memoizes the k-input fused kernels self-derived from the
-	// engine, keyed by cluster spec (see internal/kernel.FusedSet). The
-	// eval fusion tier collapses each plan cluster into one of these.
-	fused *kernel.FusedSet
 
 	// execMu guards the functional executor. execr is the engine by
 	// default; SetExecutor installs a wrapper (fault injection/detection),
@@ -418,7 +405,6 @@ func NewWithConfig(cfg Config) (*Accelerator, error) {
 		module:    module,
 		eng:       eng,
 		kerns:     kernel.NewSet(eng, cfg.Module),
-		fused:     kernel.NewFusedSet(eng, cfg.Module),
 		execr:     eng,
 		execLocks: make([]sync.Mutex, module.Banks()*module.Bank(0).Subarrays()),
 		costUnits: make(map[costKey]costUnit),

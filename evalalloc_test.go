@@ -12,9 +12,9 @@ import (
 	"testing"
 )
 
-// evalAllocExprs are the gate's predicates: a multi-cluster plan, whose
-// intermediates need a chunk slab, and a single-cluster plan, which needs
-// none.
+// evalAllocExprs are the gate's predicates: a six-gate program over
+// seven variables and a three-gate one, both holding temps in a pooled
+// slab.
 var evalAllocExprs = []string{
 	"((a | b) & (c | d) & (e | f)) ^ g",
 	"(a & b) | ~c",
@@ -27,7 +27,7 @@ const (
 	evalBytesSlack = 256
 )
 
-// evalIntoAllocs measures a warm plan's Shard.EvalExprInto into a reused
+// evalIntoAllocs measures a warm program's Shard.EvalExprInto into a reused
 // destination at n bits: the mean allocation count and bytes per call.
 func evalIntoAllocs(t *testing.T, sh *Shard, ce *CompiledExpr, n int) (allocs float64, bytes uint64) {
 	t.Helper()
@@ -42,7 +42,7 @@ func evalIntoAllocs(t *testing.T, sh *Shard, ce *CompiledExpr, n int) (allocs fl
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 4; i++ { // warm: plan kernels, placement, slab pools
+	for i := 0; i < 4; i++ { // warm: kernels, placement, slab pools
 		eval()
 	}
 	allocs = testing.AllocsPerRun(50, eval)
@@ -64,9 +64,9 @@ func evalIntoAllocs(t *testing.T, sh *Shard, ce *CompiledExpr, n int) (allocs fl
 }
 
 // TestEvalIntoAllocGate pins the allocation-free eval hot path: a warm
-// plan evaluated on a 4-shard router into a reused destination allocates
+// program evaluated on a 4-shard router into a reused destination allocates
 // a small constant number of objects per call, and its bytes per call do
-// not grow from 64 Ki to 1 Mi bits — no result vector, chunk slab or
+// not grow from 64 Ki to 1 Mi bits — no result vector, temp slab or
 // stripe list is allocated per call. GC is held off during the
 // measurement so pooled slabs stay pooled.
 func TestEvalIntoAllocGate(t *testing.T) {

@@ -2,9 +2,9 @@ package elp2im
 
 // Eval differential suite: every expression in the corpus (and every
 // random DAG the fuzzer draws) must produce bit-identical vectors and
-// struct-equal Stats across the three execution tiers — fused cluster
-// kernels, node-at-a-time kernels (DisableFusion), and the
-// command-accurate device model (DisableFastpath) — on every design,
+// struct-equal Stats across the two execution tiers — derived word
+// kernels and the command-accurate device model (DisableFastpath) — on
+// every design,
 // through the synchronous, sharded, and batch-submission entry points,
 // all checked against the host parse-tree oracle.
 
@@ -18,9 +18,8 @@ import (
 )
 
 // evalDiffExprs is the expression corpus: bare leaves, single gates, the
-// docs' two-cluster example, shared subexpressions, deep XOR trees with
-// eight variables (multi-cluster), and wide conjunctions whose clusters
-// overlap in sources.
+// docs' seven-variable example, shared subexpressions, deep XOR trees
+// with eight variables, and wide conjunctions that overlap in sources.
 var evalDiffExprs = []string{
 	"a",
 	"~a",
@@ -66,18 +65,17 @@ func evalOracleVars(t *testing.T, rng *rand.Rand, src string, n int) (map[string
 	return vars, want
 }
 
-// TestDifferentialEval pins the three-tier equivalence: for every design
+// TestDifferentialEval pins the two-tier equivalence: for every design
 // and every corpus expression over word-aligned and ragged lengths, the
-// fused, node-kernel, and command-accurate tiers return bit-identical
-// vectors and struct-equal Stats.
+// word-kernel and command-accurate tiers return bit-identical vectors
+// and struct-equal Stats.
 func TestDifferentialEval(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	tiers := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"fused", func(*Config) {}},
-		{"nodekernel", func(c *Config) { c.DisableFusion = true }},
+		{"wordkernel", func(*Config) {}},
 		{"cmdaccurate", func(c *Config) { c.DisableFastpath = true }},
 	}
 	for _, d := range designs {
@@ -103,7 +101,7 @@ func TestDifferentialEval(t *testing.T) {
 					if i == 0 {
 						refStats = st
 					} else if st != refStats {
-						t.Fatalf("%v %s %q n=%d: stats %+v != fused tier %+v",
+						t.Fatalf("%v %s %q n=%d: stats %+v != word-kernel tier %+v",
 							d, tier.name, src, n, st, refStats)
 					}
 				}
@@ -226,33 +224,34 @@ func randDAGExpr(rng *rand.Rand, depth int) string {
 	}
 }
 
-// fuzzAccs lazily builds the fuzzer's accelerator pair (fused and
-// fusion-disabled) once per process.
+// fuzzAccs lazily builds the fuzzer's accelerator pair (word-kernel and
+// command-accurate) once per process.
 var fuzzAccs struct {
 	once     sync.Once
-	fused    *Accelerator
-	unfused  *Accelerator
+	word     *Accelerator
+	cmd      *Accelerator
 	buildErr error
 }
 
 func fuzzAccPair() (*Accelerator, *Accelerator, error) {
 	fuzzAccs.once.Do(func() {
-		fuzzAccs.fused, fuzzAccs.buildErr = New(evalDiffModule)
+		fuzzAccs.word, fuzzAccs.buildErr = New(evalDiffModule)
 		if fuzzAccs.buildErr != nil {
 			return
 		}
-		fuzzAccs.unfused, fuzzAccs.buildErr = New(evalDiffModule,
-			func(c *Config) { c.DisableFusion = true })
+		fuzzAccs.cmd, fuzzAccs.buildErr = New(evalDiffModule,
+			func(c *Config) { c.DisableFastpath = true })
 	})
-	return fuzzAccs.fused, fuzzAccs.unfused, fuzzAccs.buildErr
+	return fuzzAccs.word, fuzzAccs.cmd, fuzzAccs.buildErr
 }
 
 // FuzzEvalDAG generates random expression DAGs (depth ≤ 6 over eight
-// variables) and checks the fused tier bit-for-bit against both the
-// node-kernel tier and the host parse-tree oracle, with struct-equal
-// Stats. The fused accelerator must also record no fusion fallback: a
-// cluster whose kernel fails to derive runs node-at-a-time with correct
-// results, so only the counter shows it.
+// variables) and checks the word-kernel tier bit-for-bit against both
+// the command-accurate tier and the host parse-tree oracle, with
+// struct-equal Stats. The word-kernel accelerator must also record no
+// tier fallback: an instruction whose kernel fails to derive sends the
+// whole operation to the command-accurate model with correct results,
+// so only the counter shows it.
 func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(1), byte(3), uint16(200))
 	f.Add(int64(2), byte(6), uint16(401))
@@ -260,7 +259,7 @@ func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(11), byte(5), uint16(300))
 	f.Add(int64(23), byte(4), uint16(128))
 	f.Fuzz(func(t *testing.T, seed int64, depth byte, bits uint16) {
-		fused, unfused, err := fuzzAccPair()
+		word, cmd, err := fuzzAccPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,29 +276,29 @@ func FuzzEvalDAG(f *testing.F) {
 			vars[name] = RandomBitVector(rng, n)
 		}
 
-		fout, fst, err := fused.Eval(src, vars)
+		wout, wst, err := word.Eval(src, vars)
 		if err != nil {
-			t.Fatalf("fused eval %q: %v", src, err)
+			t.Fatalf("word-kernel eval %q: %v", src, err)
 		}
-		uout, ust, err := unfused.Eval(src, vars)
+		cout, cst, err := cmd.Eval(src, vars)
 		if err != nil {
-			t.Fatalf("unfused eval %q: %v", src, err)
+			t.Fatalf("command-accurate eval %q: %v", src, err)
 		}
-		if !fout.Equal(uout) {
-			t.Fatalf("fused and node-kernel tiers diverge on %q (n=%d)", src, n)
+		if !wout.Equal(cout) {
+			t.Fatalf("word-kernel and command-accurate tiers diverge on %q (n=%d)", src, n)
 		}
-		if fst != ust {
-			t.Fatalf("%q: fused stats %+v != node-kernel stats %+v", src, fst, ust)
+		if wst != cst {
+			t.Fatalf("%q: word-kernel stats %+v != command-accurate stats %+v", src, wst, cst)
 		}
-		if _, falls := fused.FusionCounters(); falls != 0 {
-			t.Fatalf("%q: fused accelerator fell back to node-at-a-time (%d fallbacks)", src, falls)
+		if _, falls := word.FusionCounters(); falls != 0 {
+			t.Fatalf("%q: word-kernel accelerator fell back to the command-accurate model (%d fallbacks)", src, falls)
 		}
 		env := map[string]bool{}
 		for i := 0; i < n; i++ {
 			for name, v := range vars {
 				env[name] = v.Bit(i)
 			}
-			if fout.Bit(i) != node.Eval(env) {
+			if wout.Bit(i) != node.Eval(env) {
 				t.Fatalf("%q bit %d diverges from oracle (n=%d)", src, i, n)
 			}
 		}

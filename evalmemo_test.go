@@ -10,7 +10,7 @@ import (
 	"repro/internal/fault"
 )
 
-// evalTarget is one evaluator of the shared-plan differential: an
+// evalTarget is one evaluator of the shared-program differential: an
 // accelerator or a shard router.
 type evalTarget struct {
 	name string
@@ -18,13 +18,15 @@ type evalTarget struct {
 	eval func(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error)
 }
 
-// TestDifferentialEvalMemo pins the per-plan kernel memo's safety: one
-// CompiledExpr, evaluated concurrently on ELP2IM, Ambit and DRISA
-// accelerators and on a 4-shard router, must give results bit-identical
-// to — and Stats struct-equal with — a fresh compile evaluated on a fresh
-// module of the same design. Then wrapping an accelerator whose kernels
-// the plan has memoized must still force the command-accurate tier on the
-// next eval: the injector sees commands and a fusion fallback is counted.
+// TestDifferentialEvalMemo pins the safety of sharing one compiled
+// program: one CompiledExpr, evaluated concurrently on the word-kernel
+// tier of ELP2IM, Ambit and DRISA accelerators and of a 4-shard router,
+// must give results bit-identical to — and Stats struct-equal with — a
+// fresh compile evaluated on a fresh command-accurate module
+// (DisableFastpath) of the same design. Then wrapping an accelerator that
+// has already run the program on word kernels must still force the
+// command-accurate tier on the next eval: the injector sees commands and
+// a tier fallback is counted.
 func TestDifferentialEvalMemo(t *testing.T) {
 	const src = "((a | b) & (c | d) & (e | f)) ^ g"
 	ce, err := CompileExpr(src)
@@ -48,7 +50,8 @@ func TestDifferentialEvalMemo(t *testing.T) {
 	}
 	targets = append(targets, evalTarget{"Ambit/shards=4", sh.EvalExprInto, sh.EvalExpr})
 
-	// References: a fresh compile on a fresh module per design.
+	// References: a fresh compile on a fresh command-accurate module per
+	// design.
 	wantStats := map[string]Stats{}
 	for i, d := range designs {
 		d := d
@@ -56,7 +59,10 @@ func TestDifferentialEvalMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, st, err := newAcc(t, evalDiffModule, func(c *Config) { c.Design = d }).EvalExpr(fresh, vars)
+		out, st, err := newAcc(t, evalDiffModule, func(c *Config) {
+			c.Design = d
+			c.DisableFastpath = true
+		}).EvalExpr(fresh, vars)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +93,7 @@ func TestDifferentialEvalMemo(t *testing.T) {
 						return
 					}
 					if !dst.Equal(oracle) || !out.Equal(oracle) {
-						t.Errorf("%s: shared-plan result diverges from the fresh compile", tg.name)
+						t.Errorf("%s: shared-program result diverges from the fresh compile", tg.name)
 						return
 					}
 					if st != wantStats[tg.name] || st2 != wantStats[tg.name] {
@@ -108,12 +114,12 @@ func TestDifferentialEvalMemo(t *testing.T) {
 	}
 	for _, a := range evaluators {
 		if h, f := a.FusionCounters(); h == 0 || f != 0 {
-			t.Fatalf("%s: fusion hits %d, fallbacks %d; the shared plan must run fused", a.Design(), h, f)
+			t.Fatalf("%s: word-tier hits %d, fallbacks %d; the shared program must run on word kernels", a.Design(), h, f)
 		}
 	}
 
-	// Wrapping after the memo is warm. One stripe: the injector is not
-	// safe for concurrent use, and a single-stripe eval runs serially.
+	// Wrapping after word-tier runs. One stripe: the injector is not safe
+	// for concurrent use, and a single-stripe eval runs serially.
 	acc := accs[0]
 	one, oneWant := evalOracleVars(t, rand.New(rand.NewSource(42)), src, acc.cfg.Module.Columns)
 	dst := NewBitVector(acc.cfg.Module.Columns)
@@ -130,17 +136,17 @@ func TestDifferentialEvalMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if inj.Ops == 0 {
-		t.Fatal("memoized plan bypassed the wrapped executor: the injector saw no commands")
+		t.Fatal("warm program bypassed the wrapped executor: the injector saw no commands")
 	}
 	if h, f := acc.FusionCounters(); h != hits || f != falls+1 {
-		t.Fatalf("wrapped eval: fusion hits %d->%d, fallbacks %d->%d; want one fallback", hits, h, falls, f)
+		t.Fatalf("wrapped eval: word-tier hits %d->%d, fallbacks %d->%d; want one fallback", hits, h, falls, f)
 	}
 	acc.SetExecutor(nil)
 	if _, err := acc.EvalExprInto(ce, dst, one); err != nil {
 		t.Fatal(err)
 	}
 	if h, _ := acc.FusionCounters(); h != hits+1 || !dst.Equal(oneWant) {
-		t.Fatalf("after unwrapping: fusion hits %d (want %d), result matches oracle: %v", h, hits+1, dst.Equal(oneWant))
+		t.Fatalf("after unwrapping: word-tier hits %d (want %d), result matches oracle: %v", h, hits+1, dst.Equal(oneWant))
 	}
 }
 

@@ -6,7 +6,7 @@
 // This is the embedded, single-process form. The same workload is served:
 // elpd stores bitmap indices as "<namespace>/<index>" vectors and answers
 // boolean predicates over them via POST /v1/query (or wire KindQuery),
-// compiled through the plan IR — see docs/CLI.md "Bitmap-index queries",
+// compiled to node-at-a-time programs — see docs/CLI.md "Bitmap-index queries",
 // docs/ARCHITECTURE.md "Life of a query", and `elpload -query` for the
 // load-tested service path.
 package main

@@ -12,7 +12,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/kernel"
 	"repro/internal/pipeline"
-	"repro/internal/plan"
 )
 
 // ErrBadExpr marks expression compilation failures — malformed source,
@@ -22,43 +21,38 @@ import (
 // 500; see internal/server).
 var ErrBadExpr = errors.New("bad expression")
 
-// CompiledExpr is a compiled, reusable expression: the fused plan shared
-// by every eval entry point (Accelerator.EvalExpr, Shard.EvalExpr, the
-// batch submissions). Compile once with CompileExpr, evaluate many times
-// over different bindings. A CompiledExpr is immutable and safe for
-// concurrent use.
+// CompiledExpr is a compiled, reusable expression: the node-at-a-time
+// program shared by every eval entry point (Accelerator.EvalExpr,
+// Shard.EvalExpr, the batch submissions). Compile once with CompileExpr,
+// evaluate many times over different bindings. A CompiledExpr is
+// immutable and safe for concurrent use.
 type CompiledExpr struct {
-	plan *plan.Plan
+	prog *expr.Program
 }
 
 // Vars returns the expression's variable names in first-appearance
 // order. Callers must not modify the returned slice.
-func (ce *CompiledExpr) Vars() []string { return ce.plan.Vars }
+func (ce *CompiledExpr) Vars() []string { return ce.prog.Vars }
 
 // Source returns the original expression text.
-func (ce *CompiledExpr) Source() string { return ce.plan.Source }
+func (ce *CompiledExpr) Source() string { return ce.prog.Source }
 
 // CompileExpr parses and compiles a boolean expression (& | ^ ~ and
-// parentheses over identifiers) into its fused plan: the DAG is
-// optimized (CSE, double-negation removal, NOT-into-gate fusion),
-// partitioned into k-input clusters (k ≤ 6) for the fused kernel tier,
-// and scheduled node-at-a-time for cost accounting and the
-// command-accurate fallback (see internal/plan). Any failure wraps
-// ErrBadExpr.
+// parentheses over identifiers) into its node-at-a-time program: the DAG
+// is optimized (CSE, double-negation removal, NOT-into-gate fusion) and
+// scheduled one engine instruction per gate, with temps allocated by
+// liveness. The program is the cost source and the instruction stream of
+// both execution tiers (see internal/expr). Any failure wraps ErrBadExpr.
 func CompileExpr(src string) (*CompiledExpr, error) {
 	node, err := expr.Parse(src)
 	if err != nil {
 		return nil, fmt.Errorf("elp2im: %w: %v", ErrBadExpr, err)
 	}
-	d, err := expr.BuildDAG(node)
+	prog, err := expr.Compile(node)
 	if err != nil {
 		return nil, fmt.Errorf("elp2im: %w: %v", ErrBadExpr, err)
 	}
-	p, err := plan.Compile(d)
-	if err != nil {
-		return nil, fmt.Errorf("elp2im: %w: %v", ErrBadExpr, err)
-	}
-	return &CompiledExpr{plan: p}, nil
+	return &CompiledExpr{prog: prog}, nil
 }
 
 // Eval evaluates a boolean expression over named bulk bit-vectors entirely
@@ -86,7 +80,7 @@ func (a *Accelerator) Eval(src string, vars map[string]*BitVector) (*BitVector, 
 // (see Eval) into a fresh result vector: EvalExprInto with a
 // destination of the variables' common length.
 func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
-	out := NewBitVector(boundLen(ce.plan, vars))
+	out := NewBitVector(boundLen(ce.prog, vars))
 	st, err := a.EvalExprInto(ce, out, vars)
 	if err != nil {
 		return nil, Stats{}, err
@@ -97,15 +91,13 @@ func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*B
 // EvalExprInto evaluates a compiled expression over named bulk
 // bit-vectors into dst, following Op's destination convention: dst must
 // have the variables' common length, and its previous contents are
-// overwritten. dst must not be one of the bound vectors (fused kernels
-// re-read their sources while writing). Execution picks the best
-// available tier per call — fused cluster kernels, node-at-a-time
-// kernels, or the command-accurate device model — with bit-identical
-// results and modeled cost on every tier. Reusing dst across calls keeps
-// a warm plan's word-level evaluation free of per-call vector
-// allocation.
+// overwritten. dst must not be one of the bound vectors. Execution picks
+// the tier per call — derived word kernels, or the command-accurate
+// device model — with bit-identical results and modeled cost on both.
+// Reusing dst across calls keeps a warm program's word-level evaluation
+// free of per-call vector allocation.
 func (a *Accelerator) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[string]*BitVector) (Stats, error) {
-	p := ce.plan
+	p := ce.prog
 	n, err := a.evalPrep(p, vars)
 	if err != nil {
 		return Stats{}, err
@@ -120,9 +112,10 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[st
 	}
 
 	// Cost: per-stripe program cost, bank parallelism applied per op mix.
-	// The node-at-a-time program is the single cost source for every
-	// execution tier, so fused and unfused runs account identically.
-	total, err := a.evalCost(p.Prog, stripes)
+	// The node-at-a-time program is the single cost source for both
+	// execution tiers, so word-level and command-accurate runs account
+	// identically.
+	total, err := a.evalCost(p, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -130,9 +123,9 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[st
 	return total, nil
 }
 
-// boundLen returns the length of the first bound plan variable, or 0 when
-// none is bound (evalPrep then reports the missing binding).
-func boundLen(p *plan.Plan, vars map[string]*BitVector) int {
+// boundLen returns the length of the first bound program variable, or 0
+// when none is bound (evalPrep then reports the missing binding).
+func boundLen(p *expr.Program, vars map[string]*BitVector) int {
 	for _, name := range p.Vars {
 		if v := vars[name]; v != nil {
 			return v.Len()
@@ -144,7 +137,7 @@ func boundLen(p *plan.Plan, vars map[string]*BitVector) int {
 // checkEvalDst validates an eval destination against the prepared
 // bindings of common length n: non-nil, length n, and not aliasing a
 // bound variable.
-func checkEvalDst(p *plan.Plan, dst *BitVector, vars map[string]*BitVector, n int) error {
+func checkEvalDst(p *expr.Program, dst *BitVector, vars map[string]*BitVector, n int) error {
 	if dst == nil {
 		return errors.New("elp2im: nil vector")
 	}
@@ -159,12 +152,12 @@ func checkEvalDst(p *plan.Plan, dst *BitVector, vars map[string]*BitVector, n in
 	return nil
 }
 
-// evalPrep validates that every plan variable is bound to a vector of one
-// common length and checks the subarray row budget of the
+// evalPrep validates that every program variable is bound to a vector of
+// one common length and checks the subarray row budget of the
 // command-accurate fallback. It returns the common length. Shared by
 // every eval entry point (the shard compiles once and scatters
 // execution).
-func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, error) {
+func (a *Accelerator) evalPrep(p *expr.Program, vars map[string]*BitVector) (int, error) {
 	n := -1
 	for _, name := range p.Vars {
 		v, ok := vars[name]
@@ -180,24 +173,27 @@ func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, e
 	if n == -1 {
 		return 0, errors.New("elp2im: expression has no variables")
 	}
+	if need := a.rowDemand(p); need > a.cfg.Module.RowsPerSubarray {
+		return 0, fmt.Errorf("elp2im: expression needs %d rows per subarray, module has %d",
+			need, a.cfg.Module.RowsPerSubarray)
+	}
+	return n, nil
+}
 
-	prog := p.Prog
-	needRows := len(prog.Vars) + prog.TempSlots
-	// Engines that consume XOR/XNOR's A row (ELP2IM two-buffer) make the
-	// command-accurate path re-stage live operands through one extra row.
+// rowDemand is the subarray row count the command-accurate fallback needs
+// for p: one row per variable and per temp slot, plus one staging row
+// when the engine consumes XOR/XNOR's A row (ELP2IM two-buffer) and p
+// uses such an op, since live operands are then re-staged through it.
+func (a *Accelerator) rowDemand(p *expr.Program) int {
+	need := len(p.Vars) + p.TempSlots
 	if oc, ok := a.eng.(engine.OperandConsumer); ok {
-		for _, in := range prog.Instrs {
+		for _, in := range p.Instrs {
 			if oc.ConsumesOperandA(in.Op) {
-				needRows++
-				break
+				return need + 1
 			}
 		}
 	}
-	if needRows > a.cfg.Module.RowsPerSubarray {
-		return 0, fmt.Errorf("elp2im: expression needs %d rows per subarray, module has %d",
-			needRows, a.cfg.Module.RowsPerSubarray)
-	}
-	return n, nil
+	return need
 }
 
 // ExprRowDemand reports the subarray row demand of a compiled
@@ -207,25 +203,18 @@ func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, e
 // per subarray. Serving layers use it to refuse over-deep predicates
 // with a client error instead of a mid-execution fault.
 func (a *Accelerator) ExprRowDemand(ce *CompiledExpr) (need, have int) {
-	prog := ce.plan.Prog
-	need = len(prog.Vars) + prog.TempSlots
-	if oc, ok := a.eng.(engine.OperandConsumer); ok {
-		for _, in := range prog.Instrs {
-			if oc.ConsumesOperandA(in.Op) {
-				need++
-				break
-			}
-		}
-	}
-	return need, a.cfg.Module.RowsPerSubarray
+	return a.rowDemand(ce.prog), a.cfg.Module.RowsPerSubarray
 }
 
 // FusionCounters reports the accelerator's eval-tier resolution counts:
-// hits is the number of eval operations that ran on the fused-kernel
-// tier, fallbacks the number that fell back to node-at-a-time kernels or
-// the command-accurate model. The pair is the serving layer's visibility
-// into whether predicates compiled through the plan IR actually execute
-// fused.
+// hits is the number of eval operations (expressions, query predicates,
+// vertical arithmetic steps) that ran on the word-kernel tier, fallbacks
+// the number that ran on the command-accurate model. The pair is the
+// serving layer's visibility into whether predicates execute on derived
+// kernels; fallbacks stay at zero unless the fast path is disabled, an
+// executor wrapper is installed, or the geometry is not word-aligned.
+// Eval operations do not tick the acc.fastpath.* counters, which count
+// Op and Reduce dispatches.
 func (a *Accelerator) FusionCounters() (hits, fallbacks int64) {
 	return a.fusionHits.Value(), a.fusionFalls.Value()
 }
@@ -246,83 +235,57 @@ func (a *Accelerator) evalCost(prog *expr.Program, stripes int) (Stats, error) {
 
 // evalRunner is one eval operation's resolved execution strategy. The
 // tier — and with it executor and kernel resolution — is fixed once, at
-// the operation's start (a synchronous call or a batch submission), in
-// descending preference:
+// the operation's start (a synchronous call or a batch submission):
 //
-//  1. fusion tier (fused != nil): one derived k-input kernel per plan
-//     cluster, resolved once per (plan, accelerator) and memoized on the
-//     plan, applied chunk by chunk directly on the vectors' words with a
-//     pooled slab for intermediate slots;
-//  2. node-kernel tier (kerns != nil): one derived kernel per program
-//     instruction, with pooled temp-slot slabs — the pre-fusion fast
-//     path;
-//  3. command-accurate tier: the node-at-a-time program executed through
-//     the device model's real command sequences.
+//  1. word-kernel tier (kerns != nil): one derived kernel per program
+//     instruction, applied stripe by stripe directly on the vectors'
+//     words with a pooled slab for the temp slots;
+//  2. command-accurate tier: the same program executed through the
+//     device model's real command sequences.
 //
 // A runner is safe for concurrent use across stripes: word-level bodies
 // keep per-invocation state only (slabs are pooled), and the command
 // tier's shared structures are read-only after resolution.
 type evalRunner struct {
 	a    *Accelerator
-	p    *plan.Plan
+	p    *expr.Program
 	vars map[string]*BitVector
 	out  *BitVector
 
 	ex    Executor
-	fused []*kernel.Fused  // fusion tier, one per cluster
-	kerns []*kernel.Kernel // node-kernel tier, one per instruction
+	kerns []*kernel.Kernel // word-kernel tier, one per instruction
 }
 
 // evalResolve picks the operation's execution tier and resolves its
-// kernels, counting one fusion and one fastpath hit/fallback per
-// operation (mirroring opTasks' submission-time resolution contract:
-// SetExecutor takes effect for operations started after the call). The
-// fused kernels come from the plan's per-accelerator memo, consulted only
-// once the executor, fast-path and fusion checks allow the tier.
-func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out *BitVector) *evalRunner {
-	cols := a.cfg.Module.Columns
+// kernels, counting one eval-tier hit or fallback per operation
+// (mirroring opTasks' submission-time resolution contract: SetExecutor
+// takes effect for operations started after the call).
+func (a *Accelerator) evalResolve(p *expr.Program, vars map[string]*BitVector, out *BitVector) *evalRunner {
 	ex, wrapped := a.executor()
 	r := &evalRunner{a: a, p: p, vars: vars, out: out, ex: ex}
-	wordOK := !wrapped && !a.cfg.DisableFastpath && cols%64 == 0
-
-	if wordOK && !a.cfg.DisableFusion {
-		if fused, err := p.Kernels(a.fused); err == nil {
-			a.fusionHits.Inc()
-			r.fused = fused
-			return r
-		}
-	}
-	a.fusionFalls.Inc()
-
-	if wordOK {
-		prog := p.Prog
-		kerns := make([]*kernel.Kernel, len(prog.Instrs))
+	if !wrapped && !a.cfg.DisableFastpath && a.cfg.Module.Columns%64 == 0 {
+		kerns := make([]*kernel.Kernel, len(p.Instrs))
 		ok := true
-		for i := range prog.Instrs {
-			if kerns[i] = a.fastKernel(prog.Instrs[i].Op, wrapped); kerns[i] == nil {
+		for i := range p.Instrs {
+			if kerns[i] = a.fastKernel(p.Instrs[i].Op, wrapped); kerns[i] == nil {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			a.fastHits.Inc()
+			a.fusionHits.Inc()
 			r.kerns = kerns
 			return r
 		}
 	}
-	a.fastFallbacks.Inc()
+	a.fusionFalls.Inc()
 	return r
 }
 
-// fusedChunkWords is the fused tier's chunk size: 8 KiB per slot/operand
-// view keeps a whole cluster chain's intermediates L1/L2-resident while
-// still amortizing per-Apply setup over a thousand words.
-const fusedChunkWords = 1024
-
-// slabPools holds the word-level tiers' scratch slabs — fused chunk slots
-// and node-kernel temp slots — shared by every accelerator and keyed by
-// size: pool c holds slabs of capacity 2^c words. Slabs are handed out
-// unzeroed; both tiers write every slot before reading it.
+// slabPools holds the word-kernel tier's temp-slot slabs, shared by every
+// accelerator and keyed by size: pool c holds slabs of capacity 2^c
+// words. Slabs are handed out unzeroed; every temp slot is written before
+// it is read.
 var slabPools [64]sync.Pool
 
 // getSlab leases a slab of words (> 0) words from its size class.
@@ -355,118 +318,57 @@ func (r *evalRunner) bindWords(names []string) [][]uint64 {
 // tier, or nil when the runner is on the command-accurate tier. The body
 // is safe for concurrent invocation over disjoint ranges.
 func (r *evalRunner) wordBody() func(sLo, sHi int) {
-	a, p := r.a, r.p
-	wpr := a.cfg.Module.Columns / 64
+	if r.kerns == nil {
+		return nil
+	}
+	prog := r.p
+	wpr := r.a.cfg.Module.Columns / 64
 	ow := r.out.v.Words()
-
-	if r.fused != nil {
-		vw := r.bindWords(p.Vars)
-		slabWords := p.Slots * fusedChunkWords
-		return func(sLo, sHi int) {
-			// Variables are word-contiguous across stripes, so the range
-			// runs as a flat word span, chunked so that every
-			// inter-cluster intermediate stays cache-resident: within a
-			// chunk the whole cluster chain executes before moving on, and
-			// only variable reads and the final result ever touch main
-			// memory. That traffic reduction — not instruction count,
-			// which matches the node-at-a-time program — is the fused
-			// tier's speedup.
-			lo := sLo * wpr
+	res := prog.Result()
+	vw := r.bindWords(prog.Vars)
+	slabWords := prog.TempSlots * wpr
+	return func(sLo, sHi int) {
+		var slab []uint64
+		if slabWords > 0 {
+			s := getSlab(slabWords)
+			defer putSlab(s)
+			slab = *s
+		}
+		for s := sLo; s < sHi; s++ {
+			lo := s * wpr
 			if lo >= len(ow) {
 				return
 			}
-			hi := sHi * wpr
+			hi := lo + wpr
 			if hi > len(ow) {
 				hi = len(ow)
 			}
-			// Only multi-cluster plans hold intermediates: the final
-			// cluster writes the output words directly.
-			var slab []uint64
-			if slabWords > 0 {
-				s := getSlab(slabWords)
-				defer putSlab(s)
-				slab = *s
+			wordsOf := func(ref expr.Ref) []uint64 {
+				if ref.Temp {
+					return slab[ref.Index*wpr : ref.Index*wpr+(hi-lo)]
+				}
+				return vw[ref.Index][lo:hi]
 			}
-			var srcs [kernel.MaxFusedInputs][]uint64
-			for base := lo; base < hi; base += fusedChunkWords {
-				cm := hi - base
-				if cm > fusedChunkWords {
-					cm = fusedChunkWords
+			for i, in := range prog.Instrs {
+				var bw []uint64
+				if !in.Op.Unary() {
+					bw = wordsOf(in.B)
 				}
-				for ci := range p.Clusters {
-					c := &p.Clusters[ci]
-					for j, in := range c.Inputs {
-						if in.Var {
-							srcs[j] = vw[in.Index][base : base+cm]
-						} else {
-							srcs[j] = slab[in.Index*fusedChunkWords : in.Index*fusedChunkWords+cm]
-						}
-					}
-					dst := ow[base : base+cm]
-					if c.Out >= 0 {
-						dst = slab[c.Out*fusedChunkWords : c.Out*fusedChunkWords+cm]
-					}
-					r.fused[ci].Apply(dst, srcs[:len(c.Inputs)])
-				}
-				if len(p.Clusters) == 0 {
-					copy(ow[base:base+cm], vw[0][base:base+cm])
-				}
+				r.kerns[i].Apply(wordsOf(in.Dst), wordsOf(in.A), bw)
 			}
+			copy(ow[lo:hi], wordsOf(res))
 			if hi == len(ow) {
 				r.out.v.MaskTail()
 			}
 		}
 	}
-
-	if r.kerns != nil {
-		prog := p.Prog
-		res := prog.Result()
-		vw := r.bindWords(prog.Vars)
-		slabWords := prog.TempSlots * wpr
-		return func(sLo, sHi int) {
-			var slab []uint64
-			if slabWords > 0 {
-				s := getSlab(slabWords)
-				defer putSlab(s)
-				slab = *s
-			}
-			for s := sLo; s < sHi; s++ {
-				lo := s * wpr
-				if lo >= len(ow) {
-					return
-				}
-				hi := lo + wpr
-				if hi > len(ow) {
-					hi = len(ow)
-				}
-				wordsOf := func(ref expr.Ref) []uint64 {
-					if ref.Temp {
-						return slab[ref.Index*wpr : ref.Index*wpr+(hi-lo)]
-					}
-					return vw[ref.Index][lo:hi]
-				}
-				for i, in := range prog.Instrs {
-					var bw []uint64
-					if !in.Op.Unary() {
-						bw = wordsOf(in.B)
-					}
-					r.kerns[i].Apply(wordsOf(in.Dst), wordsOf(in.A), bw)
-				}
-				copy(ow[lo:hi], wordsOf(res))
-				if hi == len(ow) {
-					r.out.v.MaskTail()
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // cmdBody returns the command-accurate per-stripe body: load the
 // variable rows, execute the node-at-a-time program through the device
 // model, store the result row.
 func (r *evalRunner) cmdBody() func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-	a, prog := r.a, r.p.Prog
+	a, prog := r.a, r.p
 	cols := a.cfg.Module.Columns
 	varRows := make([]int, len(prog.Vars))
 	for i := range varRows {
@@ -505,10 +407,10 @@ func (r *evalRunner) exec(stripes int, sub *stripeSubset) error {
 	return r.a.forEachStripe(stripes, body)
 }
 
-// evalExec executes the compiled plan over the stripes in sub (nil means
-// all of [0, stripes)) with no cost accounting — the execution half of
-// EvalExprInto, which a Shard scatters across its accelerators.
-func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *BitVector, stripes int, sub *stripeSubset) error {
+// evalExec executes the compiled program over the stripes in sub (nil
+// means all of [0, stripes)) with no cost accounting — the execution half
+// of EvalExprInto, which a Shard scatters across its accelerators.
+func (a *Accelerator) evalExec(p *expr.Program, vars map[string]*BitVector, out *BitVector, stripes int, sub *stripeSubset) error {
 	return a.evalResolve(p, vars, out).exec(stripes, sub)
 }
 

@@ -143,3 +143,49 @@ func TestEvalProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvalBitmapIndexQuery runs the paper's bitmap-index analytics query
+// (users active in both weeks who are male) on every design: the result
+// matches the host, the indices are left untouched, the modeled cost is
+// plausible, and the match count agrees with the host count.
+func TestEvalBitmapIndexQuery(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(2))
+	w1, w2, male := RandomBitVector(rng, n), RandomBitVector(rng, n), RandomBitVector(rng, n)
+	var keep []*BitVector
+	for _, v := range []*BitVector{w1, w2, male} {
+		c := NewBitVector(n)
+		copy(c.Words(), v.Words())
+		keep = append(keep, c)
+	}
+	vars := map[string]*BitVector{"w1": w1, "w2": w2, "male": male}
+	hostCount := 0
+	for i := 0; i < n; i++ {
+		if w1.Bit(i) && w2.Bit(i) && male.Bit(i) {
+			hostCount++
+		}
+	}
+	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+		acc := newAcc(t, smallModule, func(c *Config) { c.Design = d })
+		got, st, err := acc.Eval("w1 & w2 & male", vars)
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		for i := 0; i < n; i++ {
+			if got.Bit(i) != (w1.Bit(i) && w2.Bit(i) && male.Bit(i)) {
+				t.Fatalf("%v bit %d wrong", d, i)
+			}
+		}
+		if got.Popcount() != hostCount {
+			t.Fatalf("%v: %d matches, want %d", d, got.Popcount(), hostCount)
+		}
+		if st.Commands == 0 || st.LatencyNS <= 0 {
+			t.Fatalf("%v: implausible cost %+v", d, st)
+		}
+		for i, v := range []*BitVector{w1, w2, male} {
+			if !v.Equal(keep[i]) {
+				t.Fatalf("%v: the query modified index %d", d, i)
+			}
+		}
+	}
+}

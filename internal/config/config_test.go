@@ -75,6 +75,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{`,
 		`{"design":"tpu"}`,
 		`{"unknown_field":1}`,
+		`{"disable_fusion":true}`, // retired key: unknown like any other
 		`{"module":{"Banks":0}}`,
 		`{"timing":{"AccessSense":-1}}`,
 		`{"reserved_rows":-2}`,

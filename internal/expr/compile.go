@@ -81,8 +81,7 @@ func (p *Program) String() string {
 // leaf (Leaf true, VarIndex into DAG.Vars) or a gate applying Op to its
 // operands (B nil for unary Op). Structural sharing is real sharing —
 // common subexpressions are one node pointed to by every user — so
-// consumers (the scheduler, the plan compiler in internal/plan) can key
-// maps by node identity.
+// consumers (the scheduler) can key maps by node identity.
 type DAGNode struct {
 	// Op is the gate of an interior node (undefined for leaves).
 	Op engine.Op
@@ -97,17 +96,16 @@ type DAGNode struct {
 // DAG is the optimized form of one expression: common subexpressions
 // merged (hash-consing over the commutativity-canonicalized structure),
 // double negations removed, and NOT gates fused into the engine-native
-// complement gates (NAND/NOR/XNOR). It is the single source both
-// schedules compile from — the node-at-a-time command schedule
-// (Schedule) and the fused cluster schedule (internal/plan) — which is
-// what keeps their semantics and the cost model's instruction stream in
-// lock step.
+// complement gates (NAND/NOR/XNOR). Schedule lowers it to the
+// node-at-a-time Program that both execution tiers run and the cost
+// model prices, which keeps their semantics and the modeled instruction
+// stream in lock step.
 type DAG struct {
 	// Root is the result node.
 	Root *DAGNode
 	// Order lists the interior nodes in post-order (operands before
-	// users) — the emission order of every schedule. Empty when Root is
-	// a bare variable leaf.
+	// users) — the schedule's emission order. Empty when Root is a bare
+	// variable leaf.
 	Order []*DAGNode
 	// Vars are the input variable names, in first-appearance order.
 	Vars []string

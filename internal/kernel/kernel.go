@@ -203,14 +203,13 @@ func verify(exec Executor, k *Kernel, sub *dram.Subarray) error {
 }
 
 // gateFns holds the word loop of each of the 16 two-input boolean
-// functions, indexed by truth table (bit i = f(a=i&1, b=i>>1&1)). Both
-// word tiers run on it: a Kernel applies one gate over whole vectors, a
-// Fused kernel one gate per pass over cache-resident blocks. Each loop
-// reslices the operands it reads to len(dst), which lets the compiler
-// drop their bounds checks against the shared bound n, and unrolls 4×;
-// with plain range loops instead, fused eval ran 1.1–1.3× slower at DAG
-// depths 3–6. dst may alias a or b exactly (each word is read before it
-// is written). None allocates.
+// functions, indexed by truth table (bit i = f(a=i&1, b=i>>1&1)), so
+// whatever table derivation observes has a loop. Each loop reslices the
+// operands it reads to len(dst), which lets the compiler drop their
+// bounds checks against the shared bound n, and unrolls 4×; with plain
+// range loops instead, eval measured 1.1–1.3× slower at DAG depths 3–6.
+// dst may alias a or b exactly (each word is read before it is written).
+// None allocates.
 var gateFns = [16]func(dst, a, b []uint64){
 	0b0000: func(dst, a, b []uint64) { // constant 0
 		clear(dst)

@@ -21,6 +21,30 @@ var allOps = []engine.Op{
 	engine.OpNOR, engine.OpXOR, engine.OpXNOR, engine.OpCOPY,
 }
 
+// softOp is the host reference for one engine operation over a word.
+func softOp(op engine.Op, a, b uint64) uint64 {
+	switch op {
+	case engine.OpNOT:
+		return ^a
+	case engine.OpCOPY:
+		return a
+	case engine.OpAND:
+		return a & b
+	case engine.OpOR:
+		return a | b
+	case engine.OpXOR:
+		return a ^ b
+	case engine.OpNAND:
+		return ^(a & b)
+	case engine.OpNOR:
+		return ^(a | b)
+	case engine.OpXNOR:
+		return ^(a ^ b)
+	default:
+		panic(fmt.Sprintf("softOp: %v", op))
+	}
+}
+
 // engines returns the derivation targets: each design under every
 // reserved-row configuration the facade exposes.
 func engines(t *testing.T) map[string]Executor {

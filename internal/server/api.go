@@ -230,13 +230,14 @@ type ServerStats struct {
 	// syscall (idle connections); values above 1 mean loaded connections
 	// are amortizing writes.
 	WireFramesPerFlush float64 `json:"wire_frames_per_flush"`
-	// FusionHits counts eval/query plans that executed on the fused-kernel
-	// tier, summed across shard accelerators.
+	// FusionHits counts eval operations (expressions, query predicates,
+	// arith steps) that executed on the word-kernel tier, summed across
+	// shard accelerators.
 	FusionHits int64 `json:"fusion_hits"`
-	// FusionFallbacks counts eval/query plans that fell back to
-	// node-at-a-time kernels or the command-accurate model. A nonzero
-	// rate under -disable-fusion is expected; otherwise it means
-	// predicates are not inheriting the fused tier.
+	// FusionFallbacks counts eval operations that ran on the
+	// command-accurate device model instead. A nonzero rate with the
+	// fast path disabled is expected; otherwise it means predicates are
+	// not running on derived word kernels.
 	FusionFallbacks int64 `json:"fusion_fallbacks"`
 	// Vectors is the number of stored vectors.
 	Vectors int `json:"vectors"`

@@ -13,7 +13,7 @@ import (
 // *elp2im.CompiledExpr, (op, width) pairs to their *elp2im.CompiledArith.
 // Compilation is pure — the compiled object captures no store or
 // accelerator state and is reused concurrently by every tier — so a hit
-// skips the parse + DAG build + plan clustering entirely, which on the
+// skips the parse, DAG build and scheduling entirely, which on the
 // steady-state serving path (the same handful of expressions and arith
 // shapes over and over) turns per-request compilation into a map lookup.
 //

@@ -15,11 +15,11 @@ import (
 // of a namespace. Indices are ordinary stored bit vectors under the key
 // "<namespace>/<index>", so they inherit the store's FNV shard placement,
 // kind guards and entry locking unchanged; predicates compile through
-// plan.Compile via the shared -evalcache LRU, so they inherit clustering,
-// CSE and the fused kernel tier exactly like /v1/eval. Unlike eval, a
-// query stores nothing: the match vector is private to the request and is
-// rendered as a count, the whole bitvector, or a cursor/limit page of
-// set-bit positions. Match vectors are pooled by universe length: each
+// elp2im.CompileExpr via the shared -evalcache LRU, so they inherit CSE,
+// gate fusion and the word-kernel tier exactly like /v1/eval. Unlike
+// eval, a query stores nothing: the match vector is private to the
+// request and is rendered as a count, the whole bitvector, or a
+// cursor/limit page of set-bit positions. Match vectors are pooled by universe length: each
 // handler returns its vector once the response has copied what it needs.
 
 // Query sentinels. All four are request faults, so each wraps

@@ -47,7 +47,7 @@ func TestQueryModeTable(t *testing.T) {
 
 // queryPredicates pairs each differential predicate with its host-side
 // byte-level oracle — an implementation independent of the expression
-// compiler, the plan IR and the device model.
+// compiler, the word kernels and the device model.
 var queryPredicates = []struct {
 	src  string
 	host func(in map[string][]byte, i int) byte
@@ -348,12 +348,13 @@ func TestQueryErrorsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestQueryFusionCounters pins the /v1/stats fusion telemetry: fused
-// query evaluation increments fusion_hits, and the same workload on a
-// fusion-disabled server increments fusion_fallbacks instead.
+// TestQueryFusionCounters pins the /v1/stats eval-tier telemetry: query
+// evaluation on the word-kernel tier increments fusion_hits, and the same
+// workload on a command-accurate server (DisableFastpath) increments
+// fusion_fallbacks instead.
 func TestQueryFusionCounters(t *testing.T) {
 	run := func(disable bool) ServerStats {
-		acc, err := elp2im.New(func(c *elp2im.Config) { c.DisableFusion = disable })
+		acc, err := elp2im.New(func(c *elp2im.Config) { c.DisableFastpath = disable })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,14 +374,14 @@ func TestQueryFusionCounters(t *testing.T) {
 		}
 		return sr.Server
 	}
-	fused := run(false)
-	if fused.FusionHits == 0 {
-		t.Errorf("fused query left fusion_hits at 0: %+v", fused)
+	word := run(false)
+	if word.FusionHits == 0 {
+		t.Errorf("word-kernel query left fusion_hits at 0: %+v", word)
 	}
-	unfused := run(true)
-	if unfused.FusionHits != 0 || unfused.FusionFallbacks == 0 {
-		t.Errorf("fusion-disabled query counters = hits %d fallbacks %d, want 0 and >0",
-			unfused.FusionHits, unfused.FusionFallbacks)
+	cmd := run(true)
+	if cmd.FusionHits != 0 || cmd.FusionFallbacks == 0 {
+		t.Errorf("command-accurate query counters = hits %d fallbacks %d, want 0 and >0",
+			cmd.FusionHits, cmd.FusionFallbacks)
 	}
 }
 

@@ -618,9 +618,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) error {
 }
 
 // evalCore is the protocol-independent eval body shared by the HTTP and
-// wire paths: compile the expression once to its fused plan, gate on the
-// destination shard's drain state, read-lock the operands, execute the
-// compiled plan on the shard's accelerator, and store the result under
+// wire paths: compile the expression once (through the eval cache), gate
+// on the destination shard's drain state, read-lock the operands, execute
+// the compiled program on the shard's accelerator, and store the result under
 // dst. Compilation failures (elp2im.ErrBadExpr) are client errors; both
 // transports report them as 400.
 func (s *Server) evalCore(exprSrc, dst string) (elp2im.Stats, int, error) {

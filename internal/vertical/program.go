@@ -6,11 +6,10 @@ import (
 	"strconv"
 
 	"repro/internal/expr"
-	"repro/internal/plan"
 )
 
-// Step is one µProgram step: a compiled boolean plan whose value is
-// written to the named destination slice. Every plan variable names
+// Step is one µProgram step: a compiled boolean program whose value is
+// written to the named destination slice. Every program variable names
 // either an operand slice (x*/y*/m), a previously produced output slice
 // (z*), or a scratch slice (t*) written by an earlier step; a step never
 // reads its own destination, so in-place execution is safe on every
@@ -18,8 +17,8 @@ import (
 type Step struct {
 	// Dst is the slice the step's value is stored to.
 	Dst string
-	// Plan is the compiled expression producing the value.
-	Plan *plan.Plan
+	// Prog is the compiled expression producing the value.
+	Prog *expr.Program
 }
 
 // Program is a compiled vertical operation: an ordered step list over
@@ -118,7 +117,7 @@ func (b *builder) emit(build func(nm namer) *expr.Node, srcs ...vsrc) int {
 
 // assemble lowers the SSA steps to a Program: virtual ids mapped to
 // output names (for ids in outs) or recycled scratch names, each step's
-// expression built under that naming and compiled through the plan IR.
+// expression built under that naming and scheduled node-at-a-time.
 // Scratch names free only after the step that last reads them, so a
 // step's destination never aliases one of its own inputs.
 func (b *builder) assemble(op Op, width int, outs map[int]string) (*Program, error) {
@@ -145,15 +144,11 @@ func (b *builder) assemble(op Op, width int, outs map[int]string) (*Program, err
 		}
 		names[st.out] = dst
 		node := st.build(func(vid int) string { return names[vid] })
-		d, err := expr.BuildDAG(node)
+		prog, err := expr.Compile(node)
 		if err != nil {
 			return nil, fmt.Errorf("vertical: %s/%d step %d: %v", op, width, i, err)
 		}
-		pl, err := plan.Compile(d)
-		if err != nil {
-			return nil, fmt.Errorf("vertical: %s/%d step %d: %v", op, width, i, err)
-		}
-		steps = append(steps, Step{Dst: dst, Plan: pl})
+		steps = append(steps, Step{Dst: dst, Prog: prog})
 		for _, u := range st.uses {
 			if lastUse[u] == i {
 				if _, uo := outs[u]; !uo {
@@ -167,9 +162,8 @@ func (b *builder) assemble(op Op, width int, outs map[int]string) (*Program, err
 
 // Build synthesizes the µProgram computing op over width-bit elements.
 // Width must be in 1..64. Each step's expression is kept narrow (at most
-// kernel.MaxFusedInputs distinct slices) so the fusion tier collapses it
-// into a single derived kernel pass and the command-accurate fallback
-// fits small row budgets.
+// six distinct slices) so the command-accurate fallback fits small row
+// budgets.
 func Build(op Op, width int) (*Program, error) {
 	if width < 1 || width > 64 {
 		return nil, fmt.Errorf("vertical: element width %d out of range [1,64]", width)
@@ -285,9 +279,9 @@ func buildCompare(b *builder, outs map[int]string, w int, op Op) {
 
 // buildEq emits equality as an XNOR-AND accumulator chain: the first
 // step folds three bit positions (six operand slices), every later step
-// ANDs two more positions into the accumulator (five slices) — each step
-// one fused-kernel pass, and the accumulator ping-pongs through two
-// recycled scratch slices regardless of width.
+// ANDs two more positions into the accumulator (five slices), and the
+// accumulator ping-pongs through two recycled scratch slices regardless
+// of width.
 func buildEq(b *builder, outs map[int]string, w int) {
 	hi := 3
 	if hi > w {

@@ -10,12 +10,12 @@
 // The µProgram builder synthesizes k-bit operations (ripple-carry
 // add/sub, unsigned and signed compares, popcount accumulation,
 // select/blend) as sequences of boolean steps, one internal/expr DAG per
-// produced bit slice, each compiled through plan.Compile — so vertical
-// arithmetic inherits clustering, common-subexpression elimination, and
-// the fused k-input kernels, and executes on every tier of the facade
-// (fused, node-at-a-time, command-accurate) with identical modeled cost.
+// produced bit slice, each scheduled into a node-at-a-time expr.Program —
+// so vertical arithmetic inherits common-subexpression elimination and
+// gate fusion, and executes on both tiers of the facade (word kernels,
+// command-accurate) with identical modeled cost.
 //
-// The package is engine-agnostic: it emits plans over named slices and
+// The package is engine-agnostic: it emits programs over named slices and
 // leaves binding names to vectors, striping, and execution to the
 // facade. The slice naming contract is fixed: operand x binds x0..x{w-1}
 // (LSB first), operand y binds y0..y{w-1}, the select mask binds m,

@@ -44,26 +44,25 @@
 # GOMAXPROCS) so wall-clock numbers are interpretable across machines.
 #
 # Part 5 (BENCH_eval.json) sweeps BenchmarkEvalDAG: one expression DAG
-# per depth (1..6), evaluated over 1 Mbit operands through both
-# word-level tiers — the fused plan (derived cluster kernels evaluated
-# block by block, default) and node-at-a-time kernels (DisableFusion) —
-# over 5 runs (-count 5), recording the median and min/max ns/op per
-# depth and tier and the headline depth-4 fused speedup (ratio of
-# medians; see EXPERIMENTS.md "Reading BENCH_eval.json").
+# per depth (1..6), evaluated over 1 Mbit operands on the word-kernel
+# tier (one derived kernel per gate) over 5 runs (-count 5), recording
+# the median and min/max ns/op per depth (see EXPERIMENTS.md "Reading
+# BENCH_eval.json").
 #
 # Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: one
-# vertical k-bit add over 1M elements per width (4/8/16/32), through
-# both execution tiers (fused vs node-at-a-time), plus the transpose
-# engine's slice/unslice ns/elem — the bit-serial arithmetic cost curve
-# (see EXPERIMENTS.md "Reading BENCH_vertical.json").
+# vertical k-bit add over 1M elements per width (4/8/16/32) on the
+# word-kernel tier, plus the transpose engine's slice/unslice ns/elem,
+# each the median (and min/max) of 5 runs — the bit-serial arithmetic
+# cost curve (see EXPERIMENTS.md "Reading BENCH_vertical.json").
 #
 # Part 7 (BENCH_query.json) drives elpload's bitmap-index query workload
 # (-query: boolean predicates over per-client namespaces through
 # POST /v1/query, Zipfian index popularity, mixed count/positions/bits
-# result modes, every response verified against a host oracle) across
-# shards {1, 4} × fusion {on, off}, recording achieved_qps, p99,
-# modeled_qps, and the server's fusion_hits / fusion_fallbacks counters
-# per point (see EXPERIMENTS.md "Reading BENCH_query.json").
+# result modes, every response verified against a host oracle) at
+# shards {1, 4}, recording achieved_qps, p99, modeled_qps, and the
+# server's fusion_hits / fusion_fallbacks counters (eval operations on
+# the word-kernel vs the command-accurate tier) per point (see
+# EXPERIMENTS.md "Reading BENCH_query.json").
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME        go test -benchtime value (default 200x)
@@ -312,12 +311,9 @@ END {
 echo "wrote $wire_out" >&2
 cat "$wire_out"
 
-# Part 5: fused eval vs node-at-a-time kernels over the DAG depth sweep.
-# Both tiers run the identical plan through the same 16 gate loops; the
-# fused tier evaluates each cluster block by block, so its intermediates
-# stay cache-resident and only variable reads and the result touch main
-# memory. Each point is the median of eval_count runs, with their min
-# and max.
+# Part 5: eval wall-clock over the DAG depth sweep on the word-kernel
+# tier. Each point is the median of eval_count runs, with their min and
+# max.
 eval_out="BENCH_eval.json"
 eval_benchtime="${EVAL_BENCHTIME:-1000x}"
 eval_count=5
@@ -328,10 +324,8 @@ printf '%s\n' "$eval_raw" | awk -v out="$eval_out" -v host="$host_json" -v bench
 /^BenchmarkEvalDAG\// {
 	split($1, parts, "/")
 	depth = substr(parts[2], 6)
-	tier = parts[3]
-	sub(/-[0-9]+$/, "", tier)
-	key = depth SUBSEP (tier == "fused" ? "fused" : "node")
-	runs[key] = runs[key] " " $3
+	sub(/-[0-9]+$/, "", depth)
+	runs[depth] = runs[depth] " " $3
 	if (!(depth in seen)) { order[++np] = depth; seen[depth] = 1 }
 }
 # stat sorts the runs of one point and sets med, lo and hi.
@@ -343,7 +337,7 @@ function stat(key,   v, k, i, j, t) {
 	lo = v[1]; hi = v[k]
 }
 END {
-	if (np < 1 || runs[4, "fused"] == "" || runs[4, "node"] == "") {
+	if (np < 1 || runs[4] == "") {
 		print "bench.sh: missing eval benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -355,14 +349,11 @@ END {
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		d = order[i]
-		stat(d SUBSEP "fused"); fm = med; flo = lo; fhi = hi
-		stat(d SUBSEP "node"); nm = med; nlo = lo; nhi = hi
-		f[d] = fm; n[d] = nm
-		printf "    {\"depth\": %s, \"fused_ns_op\": %s, \"fused_min\": %s, \"fused_max\": %s, \"node_ns_op\": %s, \"node_min\": %s, \"node_max\": %s, \"fused_speedup\": %.2f}%s\n",
-			d, fm, flo, fhi, nm, nlo, nhi, nm / fm, i < np ? "," : "" > out
+		stat(d)
+		printf "    {\"depth\": %s, \"ns_op\": %s, \"min\": %s, \"max\": %s}%s\n",
+			d, med, lo, hi, i < np ? "," : "" > out
 	}
-	printf "  ],\n" > out
-	printf "  \"depth4_fused_speedup\": %.2f\n", n[4] / f[4] > out
+	printf "  ]\n" > out
 	printf "}\n" > out
 }
 '
@@ -370,24 +361,25 @@ echo "wrote $eval_out" >&2
 cat "$eval_out"
 
 # Part 6: the vertical (bit-serial) arithmetic cost curve. One k-bit add
-# per width through both execution tiers — the µProgram's step count
-# grows linearly with width, so ns/elem traces the bit-serial latency
-# model — plus the transpose engine's ingest/readback throughput.
+# per width on the word-kernel tier — the µProgram's step count grows
+# linearly with width, so ns/elem traces the bit-serial latency model —
+# plus the transpose engine's ingest/readback throughput. Each figure is
+# the median of vert_count runs, with their min and max.
 vert_out="BENCH_vertical.json"
 vert_benchtime="${VERT_BENCHTIME:-100x}"
-echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime})" >&2
-vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" .)
+vert_count=5
+echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime}, -count ${vert_count})" >&2
+vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" -count "$vert_count" .)
 printf '%s\n' "$vert_raw" >&2
-printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" '
-/^BenchmarkVerticalTranspose\/slice/   { tslice = nsElem($0) }
-/^BenchmarkVerticalTranspose\/unslice/ { tunslice = nsElem($0) }
+printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" -v count="$vert_count" '
+/^BenchmarkVerticalTranspose\/slice/   { runs["slice"] = runs["slice"] " " nsElem($0) }
+/^BenchmarkVerticalTranspose\/unslice/ { runs["unslice"] = runs["unslice"] " " nsElem($0) }
 /^BenchmarkVerticalArith\// {
 	split($1, parts, "/")
 	w = substr(parts[3], 2)
-	tier = parts[4]
-	sub(/-[0-9]+$/, "", tier)
-	if (tier == "fused") { f[w] = $3; fel[w] = nsElem($0) }
-	else { n[w] = $3; nel[w] = nsElem($0) }
+	sub(/-[0-9]+$/, "", w)
+	runs[w] = runs[w] " " $3
+	runs[w, "elem"] = runs[w, "elem"] " " nsElem($0)
 	for (i = 1; i <= NF; i++) if ($(i+1) == "steps") steps[w] = $i
 	for (i = 1; i <= NF; i++) if ($(i+1) == "modeled_ns") modeled[w] = $i
 	if (!(w in seen)) { order[++np] = w; seen[w] = 1 }
@@ -398,24 +390,37 @@ function nsElem(line,   a, i, k) {
 		if (a[i+1] == "ns/elem") return a[i]
 	return ""
 }
+# stat sorts the runs of one point and sets med, lo and hi.
+function stat(key,   v, k, i, j, t) {
+	k = split(runs[key], v, " ")
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && v[j-1] + 0 > v[j] + 0; j--) { t = v[j]; v[j] = v[j-1]; v[j-1] = t }
+	med = k % 2 ? v[(k + 1) / 2] : (v[k / 2] + v[k / 2 + 1]) / 2
+	lo = v[1]; hi = v[k]
+}
 END {
-	if (np < 1 || f[8] == "" || n[8] == "") {
+	if (np < 1 || runs[8] == "" || runs["slice"] == "") {
 		print "bench.sh: missing vertical benchmark output" > "/dev/stderr"
 		exit 1
 	}
 	printf "{\n" > out
 	printf "  %s,\n", host > out
 	printf "  \"benchtime\": \"%s\",\n", benchtime > out
+	printf "  \"count\": %s,\n", count > out
 	printf "  \"elems\": 1048576,\n" > out
-	printf "  \"transpose\": {\"slice_ns_elem\": %s, \"unslice_ns_elem\": %s},\n", tslice, tunslice > out
+	stat("slice"); sm = med; slo = lo; shi = hi
+	stat("unslice")
+	printf "  \"transpose\": {\"slice_ns_elem\": %s, \"slice_min\": %s, \"slice_max\": %s, \"unslice_ns_elem\": %s, \"unslice_min\": %s, \"unslice_max\": %s},\n",
+		sm, slo, shi, med, lo, hi > out
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		w = order[i]
-		printf "    {\"width\": %s, \"steps\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_ns_elem\": %s, \"node_ns_elem\": %s, \"fused_speedup\": %.2f}%s\n",
-			w, steps[w], modeled[w], f[w], n[w], fel[w], nel[w], n[w] / f[w], i < np ? "," : "" > out
+		stat(w SUBSEP "elem"); em = med
+		stat(w)
+		printf "    {\"width\": %s, \"steps\": %s, \"modeled_ns\": %s, \"ns_op\": %s, \"min\": %s, \"max\": %s, \"ns_elem\": %s}%s\n",
+			w, steps[w], modeled[w], med, lo, hi, em, i < np ? "," : "" > out
 	}
-	printf "  ],\n" > out
-	printf "  \"width32_fused_speedup\": %.2f\n", n[32] / f[32] > out
+	printf "  ]\n" > out
 	printf "}\n" > out
 }
 '
@@ -423,11 +428,11 @@ echo "wrote $vert_out" >&2
 cat "$vert_out"
 
 # Part 7: the bitmap-index query workload. Each point self-spawns a
-# server with -shards n (and -disable-fusion for the "off" leg) and runs
-# elpload -query: boolean predicates through the plan IR with host-oracle
-# verification. fusion_hits / fusion_fallbacks come from the final
-# /v1/stats scrape embedded in the report, pinning which tier actually
-# served the point.
+# server with -shards n and runs elpload -query: boolean predicates
+# compiled through the shared eval cache, with host-oracle verification.
+# fusion_hits / fusion_fallbacks come from the final /v1/stats scrape
+# embedded in the report, pinning which tier (word kernels or the
+# command-accurate model) actually served the point.
 query_out="BENCH_query.json"
 query_shards="${QUERY_SHARDS:-1 4}"
 query_clients="${QUERY_CLIENTS:-32}"
@@ -435,39 +440,30 @@ query_duration="${QUERY_DURATION:-2s}"
 query_bits="${QUERY_BITS:-65536}"
 qpoints=""
 for n in $query_shards; do
-	for fusion in on off; do
-		fflag=""
-		if [ "$fusion" = "off" ]; then fflag="-disable-fusion"; fi
-		echo "bench.sh: elpload query sweep, $n shard(s), fusion $fusion (${query_clients} clients, ${query_duration})" >&2
-		go run ./cmd/elpload \
-			-query \
-			-shards "$n" \
-			-clients "$query_clients" \
-			-duration "$query_duration" \
-			-bits "$query_bits" \
-			$fflag \
-			>"$tmp_dir/query_${fusion}_$n.json"
-		vals=$(awk -F'[:,]' '
-			/"achieved_qps"/       { a = $2; gsub(/ /, "", a) }
-			/"modeled_qps"/        { m = $2; gsub(/ /, "", m) }
-			/"p99"/ && !p99done    { p = $2; gsub(/ /, "", p); p99done = 1 }
-			/"fusion_hits"/        { fh = $2; gsub(/ /, "", fh) }
-			/"fusion_fallbacks"/   { ff = $2; gsub(/ /, "", ff) }
-			/"verify_checks"/      { vc = $2; gsub(/ /, "", vc) }
-			END { print a, p, m, fh, ff, vc }' "$tmp_dir/query_${fusion}_$n.json")
-		qpoints="$qpoints$n $fusion $vals
+	echo "bench.sh: elpload query sweep, $n shard(s) (${query_clients} clients, ${query_duration})" >&2
+	go run ./cmd/elpload \
+		-query \
+		-shards "$n" \
+		-clients "$query_clients" \
+		-duration "$query_duration" \
+		-bits "$query_bits" \
+		>"$tmp_dir/query_$n.json"
+	vals=$(awk -F'[:,]' '
+		/"achieved_qps"/       { a = $2; gsub(/ /, "", a) }
+		/"modeled_qps"/        { m = $2; gsub(/ /, "", m) }
+		/"p99"/ && !p99done    { p = $2; gsub(/ /, "", p); p99done = 1 }
+		/"fusion_hits"/        { fh = $2; gsub(/ /, "", fh) }
+		/"fusion_fallbacks"/   { ff = $2; gsub(/ /, "", ff) }
+		/"verify_checks"/      { vc = $2; gsub(/ /, "", vc) }
+		END { print a, p, m, fh, ff, vc }' "$tmp_dir/query_$n.json")
+	qpoints="$qpoints$n $vals
 "
-	done
 done
 printf '%s' "$qpoints" | awk -v out="$query_out" -v host="$host_json" \
 	-v clients="$query_clients" -v duration="$query_duration" -v bits="$query_bits" '
-$2 == "on"  { oq[$1] = $3; op[$1] = $4; om[$1] = $5; oh[$1] = $6; ov[$1] = $8
-              if (!($1 in seen)) { order[++np] = $1; seen[$1] = 1 } }
-$2 == "off" { fq[$1] = $3; fp[$1] = $4; fm[$1] = $5; ff[$1] = $7
-              if (!($1 in seen)) { order[++np] = $1; seen[$1] = 1 } }
+{ q[NR] = $0 }
 END {
-	first = order[1]
-	if (np < 1 || om[first] == "" || fm[first] == "" || fm[first] + 0 <= 0) {
+	if (NR < 1) {
 		print "bench.sh: missing query-sweep output" > "/dev/stderr"
 		exit 1
 	}
@@ -478,15 +474,16 @@ END {
 	printf "  \"duration\": \"%s\",\n", duration > out
 	printf "  \"bits\": %s,\n", bits > out
 	printf "  \"points\": [\n" > out
-	for (i = 1; i <= np; i++) {
-		n = order[i]
-		printf "    {\"shards\": %s, \"fused_qps\": %s, \"fused_p99_ms\": %s, \"fused_modeled_qps\": %s, \"fusion_hits\": %s, \"nofusion_qps\": %s, \"nofusion_p99_ms\": %s, \"nofusion_modeled_qps\": %s, \"fusion_fallbacks\": %s, \"verify_checks\": %s}%s\n",
-			n, oq[n], op[n], om[n], oh[n], fq[n], fp[n], fm[n], ff[n], ov[n], i < np ? "," : "" > out
+	for (i = 1; i <= NR; i++) {
+		split(q[i], f, " ")
+		if (f[4] == "" || f[4] + 0 <= 0) {
+			print "bench.sh: missing query-sweep output" > "/dev/stderr"
+			exit 1
+		}
+		printf "    {\"shards\": %s, \"qps\": %s, \"p99_ms\": %s, \"modeled_qps\": %s, \"fusion_hits\": %s, \"fusion_fallbacks\": %s, \"verify_checks\": %s}%s\n",
+			f[1], f[2], f[3], f[4], f[5], f[6], f[7], i < NR ? "," : "" > out
 	}
-	printf "  ],\n" > out
-	# Modeled costs are bit-identical across the two tiers by design, so
-	# the headline is the wall-clock throughput ratio (host-side fused win).
-	printf "  \"fused_qps_ratio_shards%s\": %.2f\n", first, oq[first] / fq[first] > out
+	printf "  ]\n" > out
 	printf "}\n" > out
 }
 '

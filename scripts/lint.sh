@@ -7,7 +7,7 @@
 #   3. doccheck    — godoc completeness for the packages whose documentation
 #                    the project guarantees (root facade, internal/pipeline,
 #                    internal/obs, internal/server, internal/wire,
-#                    internal/plan, internal/kernel, internal/vertical)
+#                    internal/kernel, internal/vertical)
 #   4. race tests  — the server/micro-batcher suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite), the wire
@@ -52,7 +52,7 @@ if ! (cd perfbench && go vet . && go test -count=1 .); then
     fail=1
 fi
 
-if ! go run ./scripts/doccheck . internal/pipeline internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical; then
+if ! go run ./scripts/doccheck . internal/pipeline internal/obs internal/server internal/wire internal/kernel internal/vertical; then
     fail=1
 fi
 
@@ -83,8 +83,9 @@ if ! go test -run '^$' -fuzz '^FuzzRoundTrip$' -fuzztime 5s ./internal/wire; the
     fail=1
 fi
 
-# The eval-DAG fuzzer pins the fused tier against the node-at-a-time tier
-# and the host oracle on random expression DAGs (depth ≤ 6).
+# The eval-DAG fuzzer pins the word-kernel tier against the
+# command-accurate tier and the host oracle on random expression DAGs
+# (depth ≤ 6).
 if ! go test -run '^$' -fuzz '^FuzzEvalDAG$' -fuzztime 5s .; then
     fail=1
 fi
@@ -120,7 +121,7 @@ if [ -n "$cover_fail" ]; then
     fail=1
 fi
 
-if ! go test -race -count=1 ./internal/kernel/... ./internal/plan/...; then
+if ! go test -race -count=1 ./internal/kernel/...; then
     fail=1
 fi
 

@@ -308,7 +308,7 @@ func (sh *Shard) Eval(src string, vars map[string]*BitVector) (*BitVector, Stats
 // modeled cost are identical to a single module of the same
 // configuration.
 func (sh *Shard) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
-	out := NewBitVector(boundLen(ce.plan, vars))
+	out := NewBitVector(boundLen(ce.prog, vars))
 	st, err := sh.EvalExprInto(ce, out, vars)
 	if err != nil {
 		return nil, Stats{}, err
@@ -322,7 +322,7 @@ func (sh *Shard) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVec
 // the same configuration.
 func (sh *Shard) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[string]*BitVector) (Stats, error) {
 	ref := sh.ref()
-	p := ce.plan
+	p := ce.prog
 	n, err := ref.evalPrep(p, vars)
 	if err != nil {
 		return Stats{}, err
@@ -338,7 +338,7 @@ func (sh *Shard) EvalExprInto(ce *CompiledExpr, dst *BitVector, vars map[string]
 	if err != nil {
 		return Stats{}, err
 	}
-	total, err := ref.evalCost(p.Prog, stripes)
+	total, err := ref.evalCost(p, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -655,19 +655,19 @@ func (sb *ShardBatch) SubmitEval(src string, vars map[string]*BitVector) (*BitVe
 		return nil, sb.failed(err)
 	}
 	ref := sh.ref()
-	n, err := ref.evalPrep(ce.plan, vars)
+	n, err := ref.evalPrep(ce.prog, vars)
 	if err != nil {
 		return nil, sb.failed(err)
 	}
 	cols := sh.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	total, err := ref.evalCost(ce.plan.Prog, stripes)
+	total, err := ref.evalCost(ce.prog, stripes)
 	if err != nil {
 		return nil, sb.failed(err)
 	}
 	out := NewBitVector(n)
 	return out, sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		return acc.evalTasks(acc.evalResolve(ce.plan, vars, out), groups)
+		return acc.evalTasks(acc.evalResolve(ce.prog, vars, out), groups)
 	}, nil, total)
 }
 

@@ -142,7 +142,7 @@ func (v *Vertical) words() [][]uint64 {
 }
 
 // CompiledArith is a vertical operation lowered to its µProgram: one
-// compiled plan per step, reusable across calls and operand lengths
+// compiled program per step, reusable across calls and operand lengths
 // (compile once per op × width, execute many).
 type CompiledArith struct {
 	prog *vertical.Program
@@ -242,7 +242,7 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 // the command-accurate row budget) against the shared bindings.
 func (a *Accelerator) arithPrep(p *vertical.Program, binds map[string]*BitVector) error {
 	for i := range p.Steps {
-		if _, err := a.evalPrep(p.Steps[i].Plan, binds); err != nil {
+		if _, err := a.evalPrep(p.Steps[i].Prog, binds); err != nil {
 			return err
 		}
 	}
@@ -250,12 +250,12 @@ func (a *Accelerator) arithPrep(p *vertical.Program, binds map[string]*BitVector
 }
 
 // arithCost sums the per-step program costs — the same node-at-a-time
-// pricing every eval tier shares, so vertical arithmetic accounts
-// identically on fused, node-kernel, and command-accurate execution.
+// pricing both eval tiers share, so vertical arithmetic accounts
+// identically on word-kernel and command-accurate execution.
 func (a *Accelerator) arithCost(p *vertical.Program, stripes int) (Stats, error) {
 	var total Stats
 	for i := range p.Steps {
-		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)
+		st, err := a.evalCost(p.Steps[i].Prog, stripes)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -271,7 +271,7 @@ func (a *Accelerator) arithCost(p *vertical.Program, stripes int) (Stats, error)
 func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, sub *stripeSubset) error {
 	for i := range p.Steps {
 		st := &p.Steps[i]
-		if err := a.evalExec(st.Plan, binds, binds[st.Dst], stripes, sub); err != nil {
+		if err := a.evalExec(st.Prog, binds, binds[st.Dst], stripes, sub); err != nil {
 			return err
 		}
 	}
@@ -295,9 +295,9 @@ func (a *Accelerator) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical
 }
 
 // ArithProg executes a compiled vertical operation (see Arith).
-// Execution picks the best tier per step — fused cluster kernels,
-// node-at-a-time kernels, or the command-accurate device model — with
-// bit-identical results and modeled cost on every tier.
+// Execution picks the tier per step — derived word kernels, or the
+// command-accurate device model — with bit-identical results and
+// modeled cost on both.
 func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
 	binds, out, n, err := ca.binds(x, y, m)
 	if err != nil {
@@ -439,7 +439,7 @@ func (b *Batch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*V
 	runners := make([]*evalRunner, len(ca.prog.Steps))
 	for i := range ca.prog.Steps {
 		st := &ca.prog.Steps[i]
-		runners[i] = a.evalResolve(st.Plan, binds, binds[st.Dst])
+		runners[i] = a.evalResolve(st.Prog, binds, binds[st.Dst])
 	}
 	tasks := a.arithTasks(runners, a.groupStripes(stripes))
 	return out, b.enqueue(tasks, nil, total)
@@ -469,7 +469,7 @@ func (sb *ShardBatch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVecto
 		runners := make([]*evalRunner, len(ca.prog.Steps))
 		for i := range ca.prog.Steps {
 			st := &ca.prog.Steps[i]
-			runners[i] = acc.evalResolve(st.Plan, binds, binds[st.Dst])
+			runners[i] = acc.evalResolve(st.Prog, binds, binds[st.Dst])
 		}
 		return acc.arithTasks(runners, groups)
 	}, nil, total)

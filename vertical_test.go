@@ -108,9 +108,10 @@ func checkArith(t *testing.T, tag string, got *Vertical, op ArithOp, w int, x, y
 }
 
 // TestArithMatchesReference is the facade's differential harness: every
-// op, all three designs, both module geometries, every dispatch tier
-// (fused, node-kernel, command-accurate), sharded 1/4, synchronous and
-// batched — bit-identical elements and struct-equal Stats throughout.
+// op, all three designs, both module geometries, both dispatch tiers
+// (word-kernel, command-accurate) on one module and on 4 shards,
+// synchronous and batched — bit-identical elements and struct-equal
+// Stats throughout.
 func TestArithMatchesReference(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	rng := rand.New(rand.NewSource(17))
@@ -118,9 +119,12 @@ func TestArithMatchesReference(t *testing.T) {
 		for _, d := range designs {
 			design := func(c *Config) { c.Design = d }
 			acc := newAcc(t, mod, design)
-			noFusion := newAcc(t, mod, design, func(c *Config) { c.DisableFusion = true })
 			noFast := newAcc(t, mod, design, func(c *Config) { c.DisableFastpath = true })
 			sh4, err := NewShard(4, mod, design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh4NoFast, err := NewShard(4, mod, design, func(c *Config) { c.DisableFastpath = true })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,13 +165,13 @@ func TestArithMatchesReference(t *testing.T) {
 				}
 
 				out, st, err := acc.ArithProg(ca, xv, yv, mask)
-				run("fused", out, st, err)
-				out, st, err = noFusion.ArithProg(ca, xv, yv, mask)
-				run("node", out, st, err)
+				run("word", out, st, err)
 				out, st, err = noFast.ArithProg(ca, xv, yv, mask)
 				run("cmd", out, st, err)
 				out, st, err = sh4.ArithProg(ca, xv, yv, mask)
 				run("shard4", out, st, err)
+				out, st, err = sh4NoFast.ArithProg(ca, xv, yv, mask)
+				run("shard4cmd", out, st, err)
 
 				b := acc.Batch()
 				bOut, _ := b.SubmitArith(ca, xv, yv, mask)
@@ -244,5 +248,97 @@ func TestArithAccountsTotals(t *testing.T) {
 	}
 	if got := acc.Totals(); got != st {
 		t.Fatalf("totals %+v, want the op's stats %+v", got, st)
+	}
+}
+
+// TestArithXnorPopcountMAC computes the binary-network MAC on the facade:
+// per lane, XNOR each input bit with its weight bit (one eval per bit
+// position, written in place into a vertical vector's slices), then
+// popcount the agreements — the binary dot product, on every design.
+func TestArithXnorPopcountMAC(t *testing.T) {
+	const k, n = 7, 300
+	rng := rand.New(rand.NewSource(4))
+	ce, err := CompileExpr("~(in ^ w)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]*BitVector, k)
+	wt := make([]*BitVector, k)
+	agree := make([]uint64, n)
+	for j := 0; j < k; j++ {
+		in[j], wt[j] = RandomBitVector(rng, n), RandomBitVector(rng, n)
+		for i := 0; i < n; i++ {
+			if in[j].Bit(i) == wt[j].Bit(i) {
+				agree[i]++
+			}
+		}
+	}
+	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+		acc := newAcc(t, smallModule, func(c *Config) { c.Design = d })
+		xnor, err := NewVertical(n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < k; j++ {
+			if _, err := acc.EvalExprInto(ce, xnor.Slice(j), map[string]*BitVector{"in": in[j], "w": wt[j]}); err != nil {
+				t.Fatalf("%v bit %d: %v", d, j, err)
+			}
+		}
+		count, _, err := acc.Arith(ArithPopcount, xnor, nil, nil)
+		if err != nil {
+			t.Fatalf("%v popcount: %v", d, err)
+		}
+		for i, got := range count.Elements() {
+			if got != agree[i] {
+				t.Fatalf("%v lane %d: %d agreements, want %d", d, i, got, agree[i])
+			}
+		}
+	}
+}
+
+// TestArithTernaryDotProduct computes a ternary-weight dot product
+// acc = Σ w_i · x_i with w_i ∈ {-1, 0, +1} as a chain of vertical adds
+// and subtracts (mod 2^8) — the functional substrate of Table 2.
+func TestArithTernaryDotProduct(t *testing.T) {
+	const width, n = 8, 300
+	weights := []int{+1, -1, 0, +1, -1, +1}
+	rng := rand.New(rand.NewSource(7))
+	acc := newAcc(t, smallModule)
+	sum, err := NewVertical(n, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint64, n)
+	for _, w := range weights {
+		x := make([]uint64, n)
+		for i := range x {
+			x[i] = rng.Uint64() & 0x1F
+		}
+		if w == 0 {
+			continue
+		}
+		xv, err := VerticalFromElements(x, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := ArithAdd
+		if w < 0 {
+			op = ArithSub
+		}
+		if sum, _, err = acc.Arith(op, sum, xv, nil); err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		for i := range want {
+			if w > 0 {
+				want[i] += x[i]
+			} else {
+				want[i] -= x[i]
+			}
+		}
+	}
+	for i, got := range sum.Elements() {
+		if w := want[i] & (1<<width - 1); got != w {
+			t.Fatalf("lane %d: dot product %d, want %d", i, got, w)
+		}
 	}
 }
